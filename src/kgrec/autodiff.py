@@ -58,7 +58,11 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        Nodes used along several paths sum their incoming gradients.
+        Nodes used along several paths sum their incoming gradients.  A graph
+        supports one ``backward()``: each node drops its backward closure and
+        its parent links once its gradient has been passed on, so the tape is
+        freed by reference counting instead of waiting for the cyclic
+        collector (every closure refers back to its own output node).
         """
         if self.shape != (1, 1):
             raise ShapeError(f"backward() needs a scalar, got {self.shape}")
@@ -78,12 +82,17 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones((1, 1))
-        for node in reversed(order):
+        while order:
+            # popping drops the order's reference, so a node nobody else
+            # holds is freed as soon as its own backprop has run
+            node = order.pop()
             if node._backprop is not None:
                 node._backprop()
                 # every contribution to this node landed before its backprop
                 # ran, so its gradient buffer is dead weight from here on
                 node.grad = None
+                node._backprop = None
+                node._parents = ()
 
     # operator sugar; scalars and arrays are wrapped as constants
     def __add__(self, other):
@@ -284,8 +293,13 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = Tensor(a.data[idx], op="gather_rows")
 
     def backprop():
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, out.grad)
+        # one bincount over flat (row, col) cells sums duplicates in index
+        # order, as np.add.at does, at a fraction of its cost
+        rows, cols = a.shape
+        cells = (idx[:, None] * cols + np.arange(cols)).ravel()
+        buf = np.bincount(cells, weights=out.grad.ravel(), minlength=rows * cols)
+        # an empty index yields integer counts whatever the weights' type
+        buf = buf.astype(np.float64, copy=False).reshape(rows, cols)
         _accum(a, buf, owned=True)
 
     return _finish(out, (a,), backprop)

@@ -92,26 +92,54 @@ class ScoreContext:
     history: tuple          # ((item, ItemContext), ...); empty means no history
 
 
+@dataclass(frozen=True)
+class ItemInputs:
+    """Sampled inputs of distinct items, one row per item."""
+
+    entities: np.ndarray    # (U,) entity of every item
+    rels: np.ndarray        # (U, S) sampled neighbor relations
+    tails: np.ndarray       # (U, S) sampled neighbor tails
+    ctx_rev: np.ndarray     # (U, C) walk context, least-frequent first, 0-padded
+    ctx_mask: np.ndarray    # (U, C) 1.0 where ctx_rev is real
+
+    @classmethod
+    def build(cls, entities, neighbors, walk_contexts, width: int) -> "ItemInputs":
+        """From each item's ((relation, tail), ...) draw and its walk context
+        (most-frequent first), cut to ``width`` entities."""
+        rels = np.array([[r for r, _ in nbrs] for nbrs in neighbors], dtype=np.int64)
+        tails = np.array([[t for _, t in nbrs] for nbrs in neighbors], dtype=np.int64)
+        ctx_rev = np.zeros((len(walk_contexts), width), dtype=np.int64)
+        ctx_mask = np.zeros(ctx_rev.shape)
+        for row, ctx in enumerate(walk_contexts):
+            k = min(len(ctx), width)
+            ctx_rev[row, :k] = np.asarray(ctx[:k])[::-1]
+            ctx_mask[row, :k] = 1.0
+        return cls(np.asarray(entities, dtype=np.int64), rels, tails, ctx_rev, ctx_mask)
+
+
 @dataclass
 class PairBatch:
-    """Index arrays for one training batch laid out target-major.
+    """One training batch: its distinct items, and rows laid out target-major.
 
     Rows 0..B-1 are the first targets of each tuple, rows B..2B-1 the second
     targets, and so on for ``n_targets`` blocks; the trailing B*N rows are the
-    history items in tuple-major order.
+    history items in tuple-major order.  Row r pairs user ``user_rows[r]``
+    with item ``row_items[r]``, an index into ``items``.
     """
 
     user_rows: np.ndarray       # (R,) user of every row
-    entity_rows: np.ndarray     # (R,) entity of every row's item
-    rel_rows: np.ndarray        # (R, S) sampled neighbor relations
-    tail_rows: np.ndarray       # (R, S) sampled neighbor tails
-    ctx_rev: np.ndarray         # (R, C) walk context, least-frequent first, 0-padded
-    ctx_mask: np.ndarray        # (R, C) 1.0 where ctx_rev is real
+    row_items: np.ndarray       # (R,) every row's item, as an index into items
+    items: ItemInputs           # the batch's distinct items
     tuple_users: np.ndarray     # (B,) user of each tuple
     history_mask: np.ndarray    # (B, 1) 0.0 for tuples with an empty history
     size: int                   # B
     n_targets: int              # target blocks per tuple
     history_size: int           # N
+
+    @property
+    def entity_rows(self) -> np.ndarray:
+        """(R,) entity of every row's item."""
+        return self.items.entities[self.row_items]
 
 
 class GraphContextModel:
@@ -152,69 +180,66 @@ class GraphContextModel:
         e_rt = ad.matmul(ad.hstack(e_r, e_t), self.params["rel_fuse_W"])
         return e_rt, e_t
 
-    def _attention_rows(self, user_rows, e_h: Tensor, rel_flat, tail_flat,
-                        s: int) -> tuple[Tensor, Tensor]:
-        """Per-row neighbor attention: returns (alpha (R, S), e_t (R*S, d))."""
-        e_rt, e_t = self._fuse_relation_tails(rel_flat, tail_flat)
-        m = self._user_preference_rows(user_rows)
-        feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, s), e_rt),
-                                 self.params["attn_W"], self.params["attn_b"]))
-        scores = ad.row_sums(ad.mul(feat, ad.repeat_rows(m, s)))
-        alpha = ad.softmax_rows(ad.reshape(scores, e_h.shape[0], s))
-        return alpha, e_t
-
     def _aggregate(self, e_h: Tensor, context: Tensor) -> Tensor:
         return ad.tanh(ad.affine(ad.hstack(e_h, context),
                                  self.params["agg_W"], self.params["agg_b"]))
 
-    def _local_rows(self, user_rows, e_h: Tensor, rel_rows, tail_rows) -> Tensor:
-        s = rel_rows.shape[1]
-        alpha, e_t = self._attention_rows(user_rows, e_h, rel_rows.ravel(),
-                                          tail_rows.ravel(), s)
-        weighted = ad.mul(ad.reshape(alpha, alpha.data.size, 1), e_t)
-        e_local = ad.sum_row_groups(weighted, s)
-        return self._aggregate(e_h, e_local)
-
-    def _nonlocal_rows(self, e_h: Tensor, ctx_rev, ctx_mask) -> Tensor:
-        rows = e_h.shape[0]
-        h = ad.constant(np.zeros((rows, self.cfg.dim)))
-        for step in range(ctx_rev.shape[1]):
-            x = ad.gather_rows(self.params["entity_emb"], ctx_rev[:, step])
+    def _nonlocal_items(self, e_h: Tensor, items: ItemInputs) -> Tensor:
+        h = ad.constant(np.zeros((e_h.shape[0], self.cfg.dim)))
+        for step in range(items.ctx_rev.shape[1]):
+            x = ad.gather_rows(self.params["entity_emb"], items.ctx_rev[:, step])
             h_next = ad.gru_cell(x, h, self.gru)
-            # rows past their context length keep the previous state
-            h = ad.elementwise_gate(ad.constant(ctx_mask[:, step:step + 1]), h_next, h)
+            # items past their context length keep the previous state
+            h = ad.elementwise_gate(ad.constant(items.ctx_mask[:, step:step + 1]),
+                                    h_next, h)
         return self._aggregate(e_h, h)
 
-    def _context_rows(self, user_rows, entity_rows, rel_rows, tail_rows,
-                      ctx_rev, ctx_mask, force: str | None = None) -> Tensor:
-        """Contextualized q rows: (R, 2d) = entity embedding || fused context."""
-        e_h = ad.gather_rows(self.params["entity_emb"], entity_rows)
+    def _context_rows(self, user_rows, row_items, items: ItemInputs,
+                      force: str | None = None) -> tuple[Tensor, Tensor | None]:
+        """Contextualized q rows (R, 2d) = entity embedding || fused context,
+        and the neighbor attention (R, S), None when the local context is off.
+
+        Row r is user ``user_rows[r]`` with item ``row_items[r]`` of
+        ``items``.  The item stage (entity rows, fused neighbor rows,
+        attention features, the GRU and the non-local aggregate) depends on
+        no user and runs once per distinct item; the user stage runs per row
+        and reads item-stage outputs through ``gather_rows``.
+        """
         mode = self._resolve_force(force)
+        rows = len(row_items)
+        e_h_items = ad.gather_rows(self.params["entity_emb"], items.entities)
+        e_h = ad.gather_rows(e_h_items, row_items)
+        alpha = None
+        if mode != "nonlocal":
+            s = items.rels.shape[1]
+            e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
+            feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h_items, s), e_rt),
+                                     self.params["attn_W"], self.params["attn_b"]))
+            # neighbor k of row r is cell row_items[r] * s + k of the item stage
+            cells = (row_items[:, None] * s + np.arange(s)).ravel()
+            m = self._user_preference_rows(user_rows)
+            scores = ad.row_sums(ad.mul(ad.gather_rows(feat, cells), ad.repeat_rows(m, s)))
+            alpha = ad.softmax_rows(ad.reshape(scores, rows, s))
+            weighted = ad.mul(ad.reshape(alpha, rows * s, 1), ad.gather_rows(e_t, cells))
+            c_local = self._aggregate(e_h, ad.sum_row_groups(weighted, s))
+        if mode != "local":
+            c_nonlocal = ad.gather_rows(self._nonlocal_items(e_h_items, items), row_items)
         if mode == "nonlocal":
-            fused = self._nonlocal_rows(e_h, ctx_rev, ctx_mask)
+            fused = c_nonlocal
         elif mode == "local":
-            fused = self._local_rows(user_rows, e_h, rel_rows, tail_rows)
+            fused = c_local
         else:
-            c_local = self._local_rows(user_rows, e_h, rel_rows, tail_rows)
-            c_nonlocal = self._nonlocal_rows(e_h, ctx_rev, ctx_mask)
             gate = ad.sigmoid(self.params["gate_w"])
             fused = ad.elementwise_gate(gate, c_local, c_nonlocal)
-        return ad.hstack(e_h, fused)
+        return ad.hstack(e_h, fused), alpha
 
-    @staticmethod
-    def _context_arrays(contexts, width: int | None = None):
-        """Pad walk contexts, reversed (least-frequent first), plus a mask."""
-        rows = len(contexts)
-        if width is None:
-            width = max((len(c) for c in contexts), default=0)
-        ctx_rev = np.zeros((rows, width), dtype=np.int64)
-        mask = np.zeros((rows, width))
-        for r, ctx in enumerate(contexts):
-            k = min(len(ctx), width)
-            if k:
-                ctx_rev[r, :k] = np.asarray(ctx[:k])[::-1]
-                mask[r, :k] = 1.0
-        return ctx_rev, mask
+    def _one_row(self, user: int, entity: int, neighbors, walk_context,
+                 force: str | None = None) -> tuple[Tensor, Tensor | None]:
+        """``_context_rows`` for a single (user, entity) row."""
+        items = ItemInputs.build([entity], [neighbors], [walk_context],
+                                 width=len(walk_context))
+        return self._context_rows(np.array([user]), np.zeros(1, dtype=np.int64),
+                                  items, force=force)
 
     # -- single-instance operations ----------------------------------------
 
@@ -228,43 +253,27 @@ class GraphContextModel:
         """Attention probabilities (1, S) over sampled neighbors for one user."""
         if not neighbors:
             raise InputError("user_attention needs at least one sampled neighbor")
-        rels = np.array([r for r, _ in neighbors], dtype=np.int64)
-        tails = np.array([t for _, t in neighbors], dtype=np.int64)
-        e_h = ad.gather_rows(self.params["entity_emb"], [entity])
-        alpha, _ = self._attention_rows(np.array([user]), e_h, rels, tails,
-                                        len(neighbors))
-        return alpha
+        return self._one_row(user, entity, neighbors, (), force="local")[1]
 
     def local_embedding(self, user: int, entity: int, neighbors) -> Tensor:
-        rels = np.array([[r for r, _ in neighbors]], dtype=np.int64)
-        tails = np.array([[t for _, t in neighbors]], dtype=np.int64)
-        e_h = ad.gather_rows(self.params["entity_emb"], [entity])
-        return self._local_rows(np.array([user]), e_h, rels, tails)
+        return self.kg_context(user, entity, neighbors, (), force="local")
 
     def nonlocal_embedding(self, entity: int, walk_context) -> Tensor:
-        e_h = ad.gather_rows(self.params["entity_emb"], [entity])
-        ctx_rev, mask = self._context_arrays([tuple(walk_context)])
-        return self._nonlocal_rows(e_h, ctx_rev, mask)
+        # no user enters the non-local context, so row 0's user is never read
+        return self.kg_context(0, entity, (), walk_context, force="nonlocal")
 
     def kg_context(self, user: int, entity: int, neighbors, walk_context,
                    force: str | None = None) -> Tensor:
         """Gated fusion of the local and non-local context embeddings (1, d)."""
-        rels = np.array([[r for r, _ in neighbors]], dtype=np.int64)
-        tails = np.array([[t for _, t in neighbors]], dtype=np.int64)
-        ctx_rev, mask = self._context_arrays([tuple(walk_context)])
-        q = self._context_rows(np.array([user]), np.array([entity]), rels, tails,
-                               ctx_rev, mask, force=force)
+        q, _ = self._one_row(user, entity, neighbors, walk_context, force=force)
         return ad.slice_cols(q, self.cfg.dim, 2 * self.cfg.dim)
 
     def contextualized_item(self, user: int, item: int, context: ItemContext,
                             force: str | None = None) -> Tensor:
         """q_i = item entity embedding || fused context embedding, shape (1, 2d)."""
-        rels = np.array([[r for r, _ in context.neighbors]], dtype=np.int64)
-        tails = np.array([[t for _, t in context.neighbors]], dtype=np.int64)
-        ctx_rev, mask = self._context_arrays([context.walk_context])
-        entity = self.item_entities[item]
-        return self._context_rows(np.array([user]), np.array([entity]), rels,
-                                  tails, ctx_rev, mask, force=force)
+        q, _ = self._one_row(user, self.item_entities[item], context.neighbors,
+                             context.walk_context, force=force)
+        return q
 
     def history_attention(self, q_target: Tensor, history_qs) -> Tensor:
         """Relevance probabilities (1, N) of history items for one target."""
@@ -306,9 +315,8 @@ class GraphContextModel:
         """Scores for every target block; returns ``n_targets`` (B, 1) tensors."""
         b, n, k = batch.size, batch.history_size, batch.n_targets
         d2 = 2 * self.cfg.dim
-        q = self._context_rows(batch.user_rows, batch.entity_rows, batch.rel_rows,
-                               batch.tail_rows, batch.ctx_rev, batch.ctx_mask,
-                               force=force)
+        q, _ = self._context_rows(batch.user_rows, batch.row_items, batch.items,
+                                  force=force)
         w = self.params["hist_attn_w"]
         target_part = ad.matmul(q, ad.transpose(ad.slice_cols(w, 0, d2)))
         history_part = ad.matmul(q, ad.transpose(ad.slice_cols(w, d2, 2 * d2)))

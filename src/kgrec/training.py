@@ -19,7 +19,8 @@ from . import autodiff as ad
 from .autodiff import AdamState, ParamRegistry, Tensor
 from .evaluation import EvalConfig, evaluate
 from .graph import InputError, InteractionStore, KnowledgeGraph
-from .model import GraphContextModel, ModelConfig, PairBatch, init_params
+from .model import (GraphContextModel, ItemInputs, ModelConfig, PairBatch,
+                    init_params)
 from .sampling import (WalkCache, sample_bpr_tuples, sample_history,
                        sample_kg_negatives, sample_local_neighbors, substream)
 
@@ -145,52 +146,26 @@ def assemble_pair_batch(tuples, model_cfg: ModelConfig, kg: KnowledgeGraph,
     b = len(tuples)
     s = model_cfg.local_size
     n = model_cfg.history_size
-    c = cache.context_size
 
-    histories = []
-    for u, i_pos, _ in tuples:
-        hist = sample_history(store, u, i_pos, n, rng)
-        histories.append(hist)
+    histories = [sample_history(store, u, i_pos, n, rng) for u, i_pos, _ in tuples]
     history_mask = np.array([[1.0 if h else 0.0] for h in histories])
 
-    slot_items = []   # (user, item) per row, target-major then history rows
-    for _, i_pos, _ in tuples:
-        slot_items.append(i_pos)
-    for _, _, i_neg in tuples:
-        slot_items.append(i_neg)
+    # every row's item, target-major then history rows
+    slot_items = [i_pos for _, i_pos, _ in tuples] + [i_neg for _, _, i_neg in tuples]
     for hist in histories:
         slot_items.extend(hist if hist else [0] * n)
+    unique_items, row_items = np.unique(np.asarray(slot_items, dtype=np.int64),
+                                        return_inverse=True)
+    # one draw per distinct item, in ascending item order, fixes the stream
+    neighbors = [sample_local_neighbors(kg, int(item_entities[item]), s, rng)
+                 for item in unique_items]
+    items = ItemInputs.build(item_entities[unique_items], neighbors,
+                             [cache.context(item) for item in unique_items],
+                             width=cache.context_size)
 
-    unique_items = sorted(set(slot_items))
-    neighbor_draws = {
-        item: sample_local_neighbors(kg, int(item_entities[item]), s, rng)
-        for item in unique_items
-    }
-
-    r = len(slot_items)
-    users = np.empty(r, dtype=np.int64)
     tuple_users = np.array([u for u, _, _ in tuples], dtype=np.int64)
-    users[0:b] = tuple_users
-    users[b:2 * b] = tuple_users
-    users[2 * b:] = np.repeat(tuple_users, n)
-
-    entity_rows = item_entities[np.asarray(slot_items, dtype=np.int64)]
-    rel_rows = np.empty((r, s), dtype=np.int64)
-    tail_rows = np.empty((r, s), dtype=np.int64)
-    ctx_rev = np.zeros((r, c), dtype=np.int64)
-    ctx_mask = np.zeros((r, c))
-    for row, item in enumerate(slot_items):
-        for j, (rel, tail) in enumerate(neighbor_draws[item]):
-            rel_rows[row, j] = rel
-            tail_rows[row, j] = tail
-        ctx = cache.context(item)
-        k = len(ctx)
-        if k:
-            ctx_rev[row, :k] = np.asarray(ctx)[::-1]
-            ctx_mask[row, :k] = 1.0
-
-    return PairBatch(user_rows=users, entity_rows=entity_rows, rel_rows=rel_rows,
-                     tail_rows=tail_rows, ctx_rev=ctx_rev, ctx_mask=ctx_mask,
+    users = np.concatenate([tuple_users, tuple_users, np.repeat(tuple_users, n)])
+    return PairBatch(user_rows=users, row_items=row_items, items=items,
                      tuple_users=tuple_users, history_mask=history_mask,
                      size=b, n_targets=2, history_size=n)
 

@@ -4,6 +4,8 @@ Every primitive's analytic gradient is compared against central finite
 differences (eps = 1e-5, float64) over repeated random draws.
 """
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -142,6 +144,47 @@ def test_backward_requires_scalar():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     with pytest.raises(ShapeError):
         x.backward()
+
+
+def test_backward_frees_the_tape_without_the_cyclic_collector():
+    reg = ParamRegistry()
+    x = reg.register("x", [[0.5, -1.0, 2.0]])
+    mid = ad.tanh(ad.mul(x, 3.0))
+    loss = ad.sum_all(ad.square(mid))
+    alive = weakref.ref(mid.data)
+    del mid
+    gc.disable()
+    try:
+        loss.backward()
+        del loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert np.abs(x.grad).sum() > 0.0
+
+
+def test_gather_rows_backward_equals_add_at():
+    rng = np.random.default_rng(29)
+    cases = [(5, 3, [4, 0, 4, 4, 2, 0]), (1, 1, [0, 0, 0]), (4, 2, []), (3, 0, [1, 2])]
+    for _ in range(50):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        cases.append((rows, cols, rng.integers(0, rows, size=int(rng.integers(0, 4 * rows)))))
+    for rows, cols, picks in cases:
+        reg = ParamRegistry()
+        a = reg.register("a", np.zeros((rows, cols)))
+        weight = rng.normal(size=(len(picks), cols)) * 10.0 ** rng.integers(-8, 8)
+        ad.sum_all(ad.mul(ad.gather_rows(a, picks), ad.constant(weight))).backward()
+        expected = np.zeros((rows, cols))
+        np.add.at(expected, np.asarray(picks, dtype=np.intp), weight)
+        np.testing.assert_array_equal(a.grad, expected)
+    # an empty gather's gradient can be the first one an intermediate adopts
+    for first, second in (([], [0, 0]), ([0, 0], [])):
+        reg = ParamRegistry()
+        x = reg.register("x", [[1.0], [2.0]])
+        mid = ad.mul(x, 2.0)
+        ad.add(ad.sum_all(ad.gather_rows(mid, first)),
+               ad.sum_all(ad.gather_rows(mid, second))).backward()
+        np.testing.assert_array_equal(x.grad, [[4.0], [0.0]])
 
 
 def test_shape_errors():

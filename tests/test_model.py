@@ -8,8 +8,10 @@ import pytest
 from kgrec import autodiff as ad
 from kgrec.autodiff import finite_difference_check, gru_run
 from kgrec.graph import InputError
-from kgrec.model import (GraphContextModel, ItemContext, ModelConfig, PairBatch,
-                         ScoreContext)
+from kgrec.model import (GraphContextModel, ItemContext, ItemInputs, ModelConfig,
+                         PairBatch, ScoreContext)
+from kgrec.sampling import sample_kg_negatives, substream
+from kgrec.training import TrainConfig, total_objective
 
 import synth
 
@@ -339,52 +341,64 @@ def test_score_gradient_matches_finite_differences_everywhere():
 # ---------------------------------------------------------------------------
 
 
-def test_batched_scores_match_per_sample_scores():
-    rng = np.random.default_rng(26)
-    kg, model, params, cfg, items = synth.random_model_setup(rng, n_items=8)
-    b, s, n = 3, cfg.local_size, cfg.history_size
-    tuples = [(0, 1, 5), (2, 3, 7), (3, 0, 6)]
-    contexts = {}
-    for row_item in range(8):
-        contexts[row_item] = synth.random_item_context(rng, kg, s)
-    histories = [[4, 2], [6, 1], []]
+# the same items under several users, across target and history rows
+_REPEAT_TUPLES = [(0, 1, 5), (2, 1, 3), (3, 5, 1), (1, 3, 5), (2, 0, 6)]
+_REPEAT_HISTORIES = [[5, 3], [1, 5], [], [3, 1], [1, 6]]
 
-    def rows_for(item):
-        nbrs, walk = contexts[item]
-        return nbrs, walk
 
-    r = 2 * b + b * n
-    user_rows = np.empty(r, dtype=np.int64)
-    entity_rows = np.empty(r, dtype=np.int64)
-    rel_rows = np.empty((r, s), dtype=np.int64)
-    tail_rows = np.empty((r, s), dtype=np.int64)
-    ctx_rev = np.zeros((r, 3), dtype=np.int64)
-    ctx_mask = np.zeros((r, 3))
+def _repeated_item_batch(model, contexts, tuples, histories):
+    """A PairBatch over the distinct items of the tuples' rows."""
+    b, n = len(tuples), model.cfg.history_size
     slot_items = ([t[1] for t in tuples] + [t[2] for t in tuples]
                   + [h for hist in histories for h in (hist if hist else [0] * n)])
-    users = [t[0] for t in tuples]
-    user_rows[0:b] = users
-    user_rows[b:2 * b] = users
-    user_rows[2 * b:] = np.repeat(users, n)
-    for row, item in enumerate(slot_items):
-        nbrs, walk = rows_for(item)
-        entity_rows[row] = items[item]
-        for j, (rel, tail) in enumerate(nbrs):
-            rel_rows[row, j] = rel
-            tail_rows[row, j] = tail
-        if walk:
-            ctx_rev[row, :len(walk)] = np.asarray(walk)[::-1]
-            ctx_mask[row, :len(walk)] = 1.0
-    batch = PairBatch(user_rows=user_rows, entity_rows=entity_rows,
-                      rel_rows=rel_rows, tail_rows=tail_rows, ctx_rev=ctx_rev,
-                      ctx_mask=ctx_mask, tuple_users=np.array(users),
-                      history_mask=np.array([[1.0], [1.0], [0.0]]),
-                      size=b, n_targets=2, history_size=n)
-    y_pos, y_neg = model.scores_batch(batch)
+    unique, row_items = np.unique(slot_items, return_inverse=True)
+    items = ItemInputs.build(model.item_entities[unique],
+                             [contexts[i][0] for i in unique],
+                             [contexts[i][1] for i in unique], width=3)
+    users = np.array([t[0] for t in tuples])
+    return PairBatch(user_rows=np.concatenate([users, users, np.repeat(users, n)]),
+                     row_items=row_items, items=items, tuple_users=users,
+                     history_mask=np.array([[1.0 if h else 0.0] for h in histories]),
+                     size=b, n_targets=2, history_size=n)
 
-    for idx, (u, ip, ineg) in enumerate(tuples):
-        hist = tuple((j, ItemContext(*contexts[j])) for j in histories[idx])
-        sp = model.score(u, ip, ScoreContext(ItemContext(*contexts[ip]), hist)).item()
-        sn = model.score(u, ineg, ScoreContext(ItemContext(*contexts[ineg]), hist)).item()
-        assert sp == pytest.approx(y_pos.data[idx, 0], abs=1e-10)
-        assert sn == pytest.approx(y_neg.data[idx, 0], abs=1e-10)
+
+def test_batched_scores_match_per_sample_scores():
+    for disable_user_attention in (False, True):
+        rng = np.random.default_rng(26)
+        kg, model, params, cfg, items = synth.random_model_setup(
+            rng, n_items=8, disable_user_attention=disable_user_attention)
+        contexts = {item: synth.random_item_context(rng, kg, cfg.local_size)
+                    for item in range(8)}
+        batch = _repeated_item_batch(model, contexts, _REPEAT_TUPLES, _REPEAT_HISTORIES)
+        assert len(batch.items.entities) < len(batch.row_items) / 3
+        first = batch.row_items == batch.row_items[0]
+        assert len(set(batch.user_rows[first].tolist())) > 1
+        for force in (None, "local", "nonlocal"):
+            y_pos, y_neg = model.scores_batch(batch, force=force)
+            for idx, (u, ip, ineg) in enumerate(_REPEAT_TUPLES):
+                hist = tuple((j, ItemContext(*contexts[j]))
+                             for j in _REPEAT_HISTORIES[idx])
+                sp = model.score(u, ip, ScoreContext(ItemContext(*contexts[ip]), hist),
+                                 force=force).item()
+                sn = model.score(u, ineg, ScoreContext(ItemContext(*contexts[ineg]), hist),
+                                 force=force).item()
+                assert sp == pytest.approx(y_pos.data[idx, 0], abs=1e-10)
+                assert sn == pytest.approx(y_neg.data[idx, 0], abs=1e-10)
+
+
+def test_objective_gradient_on_batch_with_repeated_items():
+    rng = np.random.default_rng(27)
+    kg, model, params, cfg, items = synth.random_model_setup(
+        rng, n_items=8, dim=4, scale=3.0)
+    contexts = {item: synth.random_item_context(rng, kg, cfg.local_size)
+                for item in range(8)}
+    batch = _repeated_item_batch(model, contexts, _REPEAT_TUPLES, _REPEAT_HISTORIES)
+    quads = sample_kg_negatives(kg, substream(5, "kg"))[:4]
+    tcfg = TrainConfig(lambda1=0.5, lambda2=0.1)
+
+    def f():
+        y_pos, y_neg = model.scores_batch(batch)
+        return total_objective(model, y_pos, y_neg, quads, tcfg)[0]
+
+    err = finite_difference_check(f, params, eps=1e-5, max_coords=10, rng=rng)
+    assert err < 1e-4
