@@ -1,8 +1,8 @@
 """Knowledge-graph recommender with user-conditioned graph attention,
 random-walk context aggregation, gated fusion and pairwise ranking training."""
 
-from .autodiff import (AdamState, GruParams, NumericError, ParamRegistry,
-                       ShapeError, Tensor, finite_difference_check,
+from .autodiff import (AdamState, CheckpointError, GruParams, NumericError,
+                       ParamRegistry, ShapeError, Tensor, finite_difference_check,
                        load_checkpoint, save_checkpoint)
 from .evaluation import EvalConfig, EvalReport, FastScorer, evaluate
 from .graph import (IdMaps, InputError, InteractionStore, KnowledgeGraph, Triple,

@@ -15,6 +15,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .graph import InputError
+
 
 class NumericError(RuntimeError):
     """An op produced NaN or Inf."""
@@ -626,6 +628,10 @@ def finite_difference_check(f: Callable[[], Tensor], registry: ParamRegistry,
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
+class CheckpointError(InputError):
+    """A checkpoint file is not in the format ``save_checkpoint`` writes."""
+
+
 _CKPT_MAGIC = b"KGCK"
 _CKPT_VERSION = 1
 
@@ -649,11 +655,14 @@ def read_checkpoint_meta(path) -> dict:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        header = fh.read(24)
+        if len(header) != 24:
+            raise CheckpointError(f"{path}: checkpoint is truncated")
         version, dim, n_users, n_entities, n_relations, count = struct.unpack(
-            "<IIIIII", fh.read(24))
+            "<IIIIII", header)
         if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     return {"dim": dim, "n_users": n_users, "n_entities": n_entities,
             "n_relations": n_relations, "n_params": count}
 
@@ -669,21 +678,23 @@ def load_checkpoint(path, registry: ParamRegistry) -> dict:
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode("utf-8")
                 rows, cols = struct.unpack("<II", fh.read(8))
-                payload = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-                if payload.size != rows * cols:
-                    raise ValueError(f"{path}: checkpoint is truncated")
+                raw = fh.read(rows * cols * 8)
+                if len(raw) != rows * cols * 8:
+                    raise CheckpointError(f"{path}: checkpoint is truncated")
                 if name not in registry:
-                    raise ValueError(f"{path}: unknown parameter {name!r}")
+                    raise CheckpointError(f"{path}: unknown parameter {name!r}")
                 p = registry[name]
                 if p.shape != (rows, cols):
-                    raise ValueError(
+                    raise CheckpointError(
                         f"{path}: parameter {name!r} has shape ({rows}, {cols}), "
                         f"expected {p.shape}")
-                p.data[...] = payload.reshape(rows, cols)
+                p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
                 loaded.add(name)
     except struct.error:
-        raise ValueError(f"{path}: checkpoint is truncated") from None
+        raise CheckpointError(f"{path}: checkpoint is truncated") from None
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
     missing = set(registry.names()) - loaded
     if missing:
-        raise ValueError(f"{path}: missing parameters {sorted(missing)}")
+        raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
     return meta

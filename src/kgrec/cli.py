@@ -273,8 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
-        # ValueError is the checkpoint loader's format-error channel
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

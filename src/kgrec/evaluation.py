@@ -1,8 +1,8 @@
 """Top-K ranking protocol and metrics.
 
-Evaluation ranks every candidate item for a user (full-ranking policy) with a
-vectorized, gradient-free mirror of the scoring function, then averages
-precision, recall and hit ratio over users.  Contexts are sampled once per
+Evaluation ranks every candidate item for a user (full-ranking policy) with
+the model's own forward over constant parameters, then averages precision,
+recall and hit ratio over users.  Contexts are sampled once per
 evaluation from dedicated sub-streams, so reports are deterministic.
 """
 
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .graph import InputError, InteractionStore, KnowledgeGraph
-from .model import ModelConfig
+from .model import GraphContextModel, ItemInputs, ModelConfig
 from .sampling import WalkCache, sample_history, sample_local_neighbors, substream
 
 
@@ -49,137 +51,49 @@ class EvalReport:
         return lines
 
 
-@dataclass
 class ItemContextSet:
-    """Evaluation-time sampled inputs, shared by all users."""
+    """Evaluation-time sampled inputs of every item, shared by all users."""
 
-    rel: np.ndarray        # (I, S)
-    tail: np.ndarray       # (I, S)
-    ctx_rev: np.ndarray    # (I, C) walk context, least-frequent first
-    ctx_mask: np.ndarray   # (I, C)
-
-    @classmethod
-    def build(cls, kg: KnowledgeGraph, item_entities, cache: WalkCache,
-              local_size: int, rng: np.random.Generator) -> "ItemContextSet":
-        n_items = len(item_entities)
-        rel = np.empty((n_items, local_size), dtype=np.int64)
-        tail = np.empty((n_items, local_size), dtype=np.int64)
-        ctx_rev = np.zeros((n_items, cache.context_size), dtype=np.int64)
-        ctx_mask = np.zeros((n_items, cache.context_size))
-        for item in range(n_items):
-            for j, (r, t) in enumerate(
-                    sample_local_neighbors(kg, int(item_entities[item]), local_size, rng)):
-                rel[item, j] = r
-                tail[item, j] = t
-            ctx = cache.context(item)
-            if len(ctx):
-                ctx_rev[item, :len(ctx)] = np.asarray(ctx)[::-1]
-                ctx_mask[item, :len(ctx)] = 1.0
-        return cls(rel, tail, ctx_rev, ctx_mask)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    @staticmethod
+    def build(kg: KnowledgeGraph, item_entities, cache: WalkCache,
+              local_size: int, rng: np.random.Generator) -> ItemInputs:
+        """Neighbors drawn for items 0..I-1 in order, and every item's walk
+        context."""
+        neighbors = [sample_local_neighbors(kg, int(entity), local_size, rng)
+                     for entity in item_entities]
+        contexts = [cache.context(item) for item in range(len(item_entities))]
+        return ItemInputs.build(item_entities, neighbors, contexts,
+                                width=cache.context_size)
 
 
 class FastScorer:
-    """Gradient-free vectorized scorer over all items for one user at a time.
+    """Scores every item for one user at a time with the model's own forward.
 
-    Mirrors the differentiable model exactly (asserted by tests); reads the
-    registry's current values on every call so it tracks training updates.
+    The model reads constant views of the parameters, so no op records a
+    tape.  The user-free item stage runs once, when the scorer is built; each
+    user then pays for the user stage over all items and the history head.
+    Build a new scorer after the parameters change.
     """
 
     def __init__(self, params, cfg: ModelConfig, item_entities,
-                 contexts: ItemContextSet):
-        self.params = params
-        self.cfg = cfg
-        self.item_entities = np.asarray(item_entities, dtype=np.int64)
-        self.ctx = contexts
+                 contexts: ItemInputs):
+        frozen = {name: ad.constant(t.data) for name, t, _ in params.items()}
+        self.model = GraphContextModel(cfg, frozen, item_entities)
+        self.stage = self.model.item_stage(contexts)
+        self.items = np.arange(len(contexts.entities))
 
-    def _p(self, name: str) -> np.ndarray:
-        return self.params[name].data
-
-    def all_item_q(self, user: int) -> np.ndarray:
+    def all_item_q(self, user: int) -> Tensor:
         """Contextualized representation of every item for this user: (I, 2d)."""
-        cfg = self.cfg
-        d = cfg.dim
-        n_items = len(self.item_entities)
-        s = self.ctx.rel.shape[1]
-        ent = self._p("entity_emb")
-        e_h = ent[self.item_entities]
-
-        local = nonlocal_ = None
-        if not cfg.disable_local:
-            e_r = self._p("relation_emb")[self.ctx.rel.ravel()]
-            e_t = ent[self.ctx.tail.ravel()]
-            e_rt = np.concatenate([e_r, e_t], axis=1) @ self._p("rel_fuse_W")
-            if cfg.disable_user_attention:
-                m = np.ones((1, d))
-            else:
-                e_u = self._p("user_emb")[user:user + 1]
-                m = np.maximum(e_u @ self._p("user_proj_W") + self._p("user_proj_b"), 0.0)
-            feat = np.tanh(np.concatenate([np.repeat(e_h, s, axis=0), e_rt], axis=1)
-                           @ self._p("attn_W") + self._p("attn_b"))
-            scores = (feat * m).sum(axis=1).reshape(n_items, s)
-            alpha = _softmax_rows(scores)
-            weighted = alpha.reshape(-1, 1) * e_t
-            e_local = weighted.reshape(n_items, s, d).sum(axis=1)
-            local = np.tanh(np.concatenate([e_h, e_local], axis=1)
-                            @ self._p("agg_W") + self._p("agg_b"))
-        if not cfg.disable_nonlocal:
-            h = np.zeros((n_items, d))
-            for step in range(self.ctx.ctx_rev.shape[1]):
-                x = ent[self.ctx.ctx_rev[:, step]]
-                z = _sigmoid(x @ self._p("gru_wz") + h @ self._p("gru_uz")
-                             + self._p("gru_bz"))
-                r = _sigmoid(x @ self._p("gru_wr") + h @ self._p("gru_ur")
-                             + self._p("gru_br"))
-                c = np.tanh(x @ self._p("gru_wc") + (r * h) @ self._p("gru_uc")
-                            + self._p("gru_bc"))
-                h_next = z * c + (1.0 - z) * h
-                mask = self.ctx.ctx_mask[:, step:step + 1]
-                h = mask * h_next + (1.0 - mask) * h
-            nonlocal_ = np.tanh(np.concatenate([e_h, h], axis=1)
-                                @ self._p("agg_W") + self._p("agg_b"))
-
-        if cfg.disable_local:
-            fused = nonlocal_
-        elif cfg.disable_nonlocal:
-            fused = local
-        else:
-            gate = _sigmoid(self._p("gate_w"))
-            fused = gate * local + (1.0 - gate) * nonlocal_
-        return np.concatenate([e_h, fused], axis=1)
+        q, _ = self.model.user_stage(self.stage, np.full(len(self.items), user),
+                                     self.items)
+        return q
 
     def user_scores(self, user: int, history_items) -> np.ndarray:
         """Preference score of this user for every item: shape (I,)."""
-        d2 = 2 * self.cfg.dim
         q = self.all_item_q(user)
-        e_u = self._p("user_emb")[user:user + 1]
-        if len(history_items):
-            q_hist = q[np.asarray(history_items, dtype=np.int64)]
-            w = self._p("hist_attn_w")
-            a = q @ w[0, :d2]
-            bp = q_hist @ w[0, d2:]
-            logits = np.tanh(a[:, None] + bp[None, :] + self._p("hist_attn_b")[0, 0])
-            beta = _softmax_rows(logits)
-            e_hist = beta @ q_hist
-        else:
-            e_hist = np.zeros((len(q), d2))
-        c_u = np.maximum(np.concatenate([np.repeat(e_u, len(q), axis=0), e_hist], axis=1)
-                         @ self._p("user_agg_W") + self._p("user_agg_b"), 0.0)
-        p_u = np.concatenate([np.repeat(e_u, len(q), axis=0), c_u], axis=1)
-        return (p_u * q).sum(axis=1)
+        q_hist = ad.gather_rows(q, history_items) if len(history_items) else None
+        p_u = self.model.interaction_context_rows(user, q, q_hist)
+        return ad.row_sums(ad.mul(p_u, q)).data[:, 0]
 
 
 def rank_items(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -204,8 +118,14 @@ def _candidates_for(store: InteractionStore, user: int, split: str,
     excluded = set(store.positives(user, "train")) if split != "train" else set()
     if split == "test" and not cfg.include_valid_in_candidates:
         excluded |= store.positives(user, "valid")
-    return np.array([i for i in range(store.item_count) if i not in excluded],
-                    dtype=np.int64)
+    return _items_except(store.item_count, excluded)
+
+
+def _items_except(item_count: int, excluded: set) -> np.ndarray:
+    """Items 0..item_count-1 not in ``excluded``, ascending."""
+    keep = np.ones(item_count, dtype=bool)
+    keep[np.fromiter(excluded, dtype=np.int64, count=len(excluded))] = False
+    return np.arange(item_count)[keep]
 
 
 def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
@@ -258,8 +178,7 @@ def _sampled_candidate_metrics(scores, store, user, positives, cfg, rng):
     all_pos = set()
     for s in ("train", "valid", "test"):
         all_pos |= store.positives(user, s)
-    pool = np.array([i for i in range(store.item_count) if i not in all_pos],
-                    dtype=np.int64)
+    pool = _items_except(store.item_count, all_pos)
     sums = {k: np.zeros(3) for k in cfg.k_values}
     for pos in positives:
         if len(pool) > cfg.n_candidates:

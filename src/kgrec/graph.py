@@ -327,6 +327,15 @@ def save_dataset(dirpath, store: InteractionStore, kg: KnowledgeGraph,
 
 def load_dataset(dirpath):
     """Load a directory written by ``save_dataset``."""
+    try:
+        return _read_dataset(dirpath)
+    except InputError:
+        raise
+    except (ValueError, KeyError, IndexError) as exc:
+        raise InputError(f"{dirpath}: malformed dataset: {exc!r}") from None
+
+
+def _read_dataset(dirpath):
     meta = {}
     for _, (key, value) in _read_tsv(os.path.join(dirpath, "meta.tsv"), 2):
         meta[key] = int(value)

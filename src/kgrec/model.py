@@ -118,6 +118,22 @@ class ItemInputs:
 
 
 @dataclass
+class ItemStage:
+    """The user-free half of the item representation, one row per item.
+
+    ``feat`` and ``e_t`` hold S rows per item (neighbor k of item u is row
+    u * S + k) and are None when the local context is off; ``c_nonlocal`` is
+    None when the non-local context is off.
+    """
+
+    e_h: Tensor                 # (U, d) entity rows
+    feat: Tensor | None         # (U*S, d) neighbor attention features
+    e_t: Tensor | None          # (U*S, d) neighbor tail rows
+    c_nonlocal: Tensor | None   # (U, d) non-local aggregate
+    local_size: int             # S
+
+
+@dataclass
 class PairBatch:
     """One training batch: its distinct items, and rows laid out target-major.
 
@@ -146,7 +162,9 @@ class GraphContextModel:
     """Differentiable scorer over a parameter registry.
 
     All methods build autodiff graphs; none of them draws randomness, so a
-    score is a pure function of (parameters, sampled contexts).
+    score is a pure function of (parameters, sampled contexts).  ``params``
+    may also be any mapping from parameter name to Tensor: over constants no
+    op records a tape.
     """
 
     def __init__(self, cfg: ModelConfig, params: ParamRegistry, item_entities):
@@ -194,52 +212,99 @@ class GraphContextModel:
                                     h_next, h)
         return self._aggregate(e_h, h)
 
-    def _context_rows(self, user_rows, row_items, items: ItemInputs,
-                      force: str | None = None) -> tuple[Tensor, Tensor | None]:
+    def item_stage(self, items: ItemInputs, force: str | None = None) -> ItemStage:
+        """The user-free half of every item's representation, once per item:
+        entity rows, fused neighbor rows and attention features, and the
+        walk-context GRU with its non-local aggregate."""
+        mode = self._resolve_force(force)
+        s = items.rels.shape[1]
+        e_h = ad.gather_rows(self.params["entity_emb"], items.entities)
+        feat = e_t = c_nonlocal = None
+        if mode != "nonlocal":
+            e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
+            feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, s), e_rt),
+                                     self.params["attn_W"], self.params["attn_b"]))
+        if mode != "local":
+            c_nonlocal = self._nonlocal_items(e_h, items)
+        return ItemStage(e_h, feat, e_t, c_nonlocal, s)
+
+    def user_stage(self, stage: ItemStage, user_rows,
+                   row_items) -> tuple[Tensor, Tensor | None]:
         """Contextualized q rows (R, 2d) = entity embedding || fused context,
         and the neighbor attention (R, S), None when the local context is off.
 
-        Row r is user ``user_rows[r]`` with item ``row_items[r]`` of
-        ``items``.  The item stage (entity rows, fused neighbor rows,
-        attention features, the GRU and the non-local aggregate) depends on
-        no user and runs once per distinct item; the user stage runs per row
-        and reads item-stage outputs through ``gather_rows``.
+        Row r is user ``user_rows[r]`` with item ``row_items[r]`` of the
+        stage; the user preference ``m_u``, the neighbor softmax, the local
+        aggregate and the gate run per row and read the item stage through
+        ``gather_rows``.
         """
-        mode = self._resolve_force(force)
-        rows = len(row_items)
-        e_h_items = ad.gather_rows(self.params["entity_emb"], items.entities)
-        e_h = ad.gather_rows(e_h_items, row_items)
-        alpha = None
-        if mode != "nonlocal":
-            s = items.rels.shape[1]
-            e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
-            feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h_items, s), e_rt),
-                                     self.params["attn_W"], self.params["attn_b"]))
+        rows, s = len(row_items), stage.local_size
+        e_h = ad.gather_rows(stage.e_h, row_items)
+        alpha = c_local = None
+        if stage.feat is not None:
             # neighbor k of row r is cell row_items[r] * s + k of the item stage
             cells = (row_items[:, None] * s + np.arange(s)).ravel()
             m = self._user_preference_rows(user_rows)
-            scores = ad.row_sums(ad.mul(ad.gather_rows(feat, cells), ad.repeat_rows(m, s)))
+            scores = ad.row_sums(ad.mul(ad.gather_rows(stage.feat, cells),
+                                        ad.repeat_rows(m, s)))
             alpha = ad.softmax_rows(ad.reshape(scores, rows, s))
-            weighted = ad.mul(ad.reshape(alpha, rows * s, 1), ad.gather_rows(e_t, cells))
+            weighted = ad.mul(ad.reshape(alpha, rows * s, 1),
+                              ad.gather_rows(stage.e_t, cells))
             c_local = self._aggregate(e_h, ad.sum_row_groups(weighted, s))
-        if mode != "local":
-            c_nonlocal = ad.gather_rows(self._nonlocal_items(e_h_items, items), row_items)
-        if mode == "nonlocal":
-            fused = c_nonlocal
-        elif mode == "local":
+        if stage.c_nonlocal is None:
             fused = c_local
         else:
-            gate = ad.sigmoid(self.params["gate_w"])
-            fused = ad.elementwise_gate(gate, c_local, c_nonlocal)
+            c_nonlocal = ad.gather_rows(stage.c_nonlocal, row_items)
+            if c_local is None:
+                fused = c_nonlocal
+            else:
+                gate = ad.sigmoid(self.params["gate_w"])
+                fused = ad.elementwise_gate(gate, c_local, c_nonlocal)
         return ad.hstack(e_h, fused), alpha
 
     def _one_row(self, user: int, entity: int, neighbors, walk_context,
                  force: str | None = None) -> tuple[Tensor, Tensor | None]:
-        """``_context_rows`` for a single (user, entity) row."""
+        """Both stages for a single (user, entity) row."""
         items = ItemInputs.build([entity], [neighbors], [walk_context],
                                  width=len(walk_context))
-        return self._context_rows(np.array([user]), np.zeros(1, dtype=np.int64),
-                                  items, force=force)
+        return self.user_stage(self.item_stage(items, force=force), np.array([user]),
+                               np.zeros(1, dtype=np.int64))
+
+    # -- the history head ----------------------------------------------------
+
+    def _history_logits(self, q_hist: Tensor) -> Tensor:
+        """The history rows' half of the attention logits, (H, 1)."""
+        d2 = 2 * self.cfg.dim
+        w = ad.slice_cols(self.params["hist_attn_w"], d2, 2 * d2)
+        return ad.matmul(q_hist, ad.transpose(w))
+
+    def _history_weights(self, q_targets: Tensor, hist_logits: Tensor) -> Tensor:
+        """beta = softmax(tanh(a_t + h + b)) over history items, (T, N); the
+        history logits ``h`` are (T, N), or (1, N) when every target shares
+        one history."""
+        w = ad.slice_cols(self.params["hist_attn_w"], 0, 2 * self.cfg.dim)
+        a_t = ad.matmul(q_targets, ad.transpose(w))
+        return ad.softmax_rows(ad.tanh(ad.add(ad.add(a_t, hist_logits),
+                                              self.params["hist_attn_b"])))
+
+    def _user_vector(self, e_u: Tensor, e_hist: Tensor) -> Tensor:
+        """p_u = e_u || relu([e_u, e_hist] W + b), one row per target."""
+        c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), self.params["user_agg_W"],
+                                self.params["user_agg_b"]))
+        return ad.hstack(e_u, c_u)
+
+    def interaction_context_rows(self, user: int, q_targets: Tensor,
+                             q_hist: Tensor | None) -> Tensor:
+        """p_u (T, 2d) of one user against T targets that share the history
+        rows ``q_hist`` (N, 2d); None stands for an empty history."""
+        rows = q_targets.shape[0]
+        e_u = ad.gather_rows(self.params["user_emb"], np.full(rows, user))
+        if q_hist is None:
+            e_hist = ad.constant(np.zeros((rows, 2 * self.cfg.dim)))
+        else:
+            h = ad.reshape(self._history_logits(q_hist), 1, q_hist.shape[0])
+            e_hist = ad.matmul(self._history_weights(q_targets, h), q_hist)
+        return self._user_vector(e_u, e_hist)
 
     # -- single-instance operations ----------------------------------------
 
@@ -275,30 +340,20 @@ class GraphContextModel:
                              context.walk_context, force=force)
         return q
 
+    def _stack(self, history_qs) -> Tensor:
+        return ad.reshape(ad.hstack(history_qs), len(history_qs), 2 * self.cfg.dim)
+
     def history_attention(self, q_target: Tensor, history_qs) -> Tensor:
         """Relevance probabilities (1, N) of history items for one target."""
-        w = self.params["hist_attn_w"]
-        b = self.params["hist_attn_b"]
-        logits = [ad.tanh(ad.add(ad.matmul(ad.hstack(q_target, q_j),
-                                           ad.transpose(w)), b))
-                  for q_j in history_qs]
-        return ad.softmax_rows(ad.hstack(logits))
+        q_hist = self._stack(history_qs)
+        h = ad.reshape(self._history_logits(q_hist), 1, len(history_qs))
+        return self._history_weights(q_target, h)
 
     def interaction_context(self, user: int, q_target: Tensor,
                             history_qs) -> Tensor:
         """p_u = user embedding || aggregated history context, shape (1, 2d)."""
-        e_u = ad.gather_rows(self.params["user_emb"], [user])
-        if history_qs:
-            beta = self.history_attention(q_target, history_qs)
-            stacked = ad.hstack(history_qs)          # (1, N*2d)
-            weighted = ad.mul(ad.reshape(beta, len(history_qs), 1),
-                              ad.reshape(stacked, len(history_qs), 2 * self.cfg.dim))
-            e_hist = ad.sum_row_groups(weighted, len(history_qs))
-        else:
-            e_hist = ad.constant(np.zeros((1, 2 * self.cfg.dim)))
-        c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), self.params["user_agg_W"],
-                                self.params["user_agg_b"]))
-        return ad.hstack(e_u, c_u)
+        q_hist = self._stack(history_qs) if history_qs else None
+        return self.interaction_context_rows(user, q_target, q_hist)
 
     def score(self, user: int, item: int, ctx: ScoreContext,
               force: str | None = None) -> Tensor:
@@ -314,31 +369,19 @@ class GraphContextModel:
     def scores_batch(self, batch: PairBatch, force: str | None = None) -> list:
         """Scores for every target block; returns ``n_targets`` (B, 1) tensors."""
         b, n, k = batch.size, batch.history_size, batch.n_targets
-        d2 = 2 * self.cfg.dim
-        q, _ = self._context_rows(batch.user_rows, batch.row_items, batch.items,
-                                  force=force)
-        w = self.params["hist_attn_w"]
-        target_part = ad.matmul(q, ad.transpose(ad.slice_cols(w, 0, d2)))
-        history_part = ad.matmul(q, ad.transpose(ad.slice_cols(w, d2, 2 * d2)))
-        hist_lo = k * b
-        hist_idx = np.arange(hist_lo, hist_lo + b * n)
-        hist_scores = ad.reshape(ad.gather_rows(history_part, hist_idx), b, n)
-        q_hist = ad.gather_rows(q, hist_idx)
+        stage = self.item_stage(batch.items, force=force)
+        q, _ = self.user_stage(stage, batch.user_rows, batch.row_items)
+        # tuple t's history is rows t*n .. t*n+n-1 of q_hist
+        q_hist = ad.gather_rows(q, np.arange(k * b, k * b + b * n))
+        hist_logits = ad.reshape(self._history_logits(q_hist), b, n)
         e_u = ad.gather_rows(self.params["user_emb"], batch.tuple_users)
         mask = ad.constant(batch.history_mask)
         outputs = []
         for block in range(k):
-            rows = np.arange(block * b, (block + 1) * b)
-            a_t = ad.gather_rows(target_part, rows)
-            logits = ad.tanh(ad.add(ad.add(a_t, hist_scores),
-                                    self.params["hist_attn_b"]))
-            beta = ad.softmax_rows(logits)
+            q_t = ad.gather_rows(q, np.arange(block * b, (block + 1) * b))
+            beta = self._history_weights(q_t, hist_logits)
             weighted = ad.mul(ad.reshape(beta, b * n, 1), q_hist)
             e_hist = ad.mul(ad.sum_row_groups(weighted, n), mask)
-            c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist),
-                                    self.params["user_agg_W"],
-                                    self.params["user_agg_b"]))
-            p_u = ad.hstack(e_u, c_u)
-            q_t = ad.gather_rows(q, rows)
+            p_u = self._user_vector(e_u, e_hist)
             outputs.append(ad.row_sums(ad.mul(p_u, q_t)))
         return outputs

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from kgrec import autodiff as ad
-from kgrec.autodiff import (AdamState, GruParams, NumericError, ParamRegistry,
-                            ShapeError, Tensor, finite_difference_check,
+from kgrec.autodiff import (AdamState, CheckpointError, GruParams, NumericError,
+                            ParamRegistry, ShapeError, Tensor, finite_difference_check,
                             gru_cell, gru_run, load_checkpoint,
                             read_checkpoint_meta, save_checkpoint)
 
@@ -354,5 +354,21 @@ def test_checkpoint_shape_validation(tmp_path):
                                 "n_relations": 1})
     other = ParamRegistry()
     other.register("a", np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path, other)
+
+
+def test_truncated_checkpoint_raises_checkpoint_error_at_every_offset(tmp_path):
+    rng = np.random.default_rng(35)
+    reg = _registry_with(rng, {"a": (2, 3), "bias": (1, 2)})
+    full = tmp_path / "ckpt.bin"
+    save_checkpoint(full, reg, {"dim": 2, "n_users": 1, "n_entities": 1,
+                                "n_relations": 1})
+    data = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut, reg)
+    cut.write_bytes(data)
+    load_checkpoint(cut, reg)

@@ -1,9 +1,13 @@
 """End-to-end pipeline tests through the command-line interface."""
 
+import numpy as np
 import pytest
 
+from kgrec.autodiff import save_checkpoint
 from kgrec.cli import main
 from kgrec.config import load_config, save_config
+from kgrec.graph import load_dataset
+from kgrec.model import ModelConfig, init_params
 
 import synth
 
@@ -195,6 +199,31 @@ def test_corrupt_checkpoint_exits_one(pipeline):
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(bad), "--split", "test"])
     assert code == 1
+
+
+def test_truncated_checkpoint_header_exits_one(pipeline):
+    tmp_path, dataset, cache = pipeline
+    bad = tmp_path / "short.bin"
+    bad.write_bytes(b"KGCK" + b"\x01\x00\x00\x00" * 3)
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(bad), "--split", "test"])
+    assert code == 1
+
+
+def test_non_finite_evaluation_exits_two(pipeline):
+    tmp_path, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    params = init_params(ModelConfig(), store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, np.random.default_rng(0))
+    params["user_emb"].data[...] = 1.0
+    params["user_agg_W"].data[...] = 1e308
+    ckpt = tmp_path / "overflow.bin"
+    save_checkpoint(ckpt, params, {"dim": 32, "n_users": store.user_count,
+                                   "n_entities": kg.entity_count,
+                                   "n_relations": kg.relation_embedding_count})
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(ckpt), "--split", "test"])
+    assert code == 2
 
 
 def test_truncated_cache_exits_one(pipeline, tmp_path):

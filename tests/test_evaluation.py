@@ -1,9 +1,10 @@
 """Ranking protocol and metric tests, including the brute-force metric oracle
-and the equivalence of the vectorized scorer with the differentiable path."""
+and the equivalence of the all-item scorer with the single-score path."""
 
 import numpy as np
 import pytest
 
+from kgrec.autodiff import NumericError
 from kgrec.evaluation import (EvalConfig, EvalReport, FastScorer, ItemContextSet,
                               evaluate, metrics_for_user, rank_items)
 from kgrec.graph import InputError, InteractionStore
@@ -58,7 +59,7 @@ def test_metrics_match_brute_force_on_random_fixtures():
 
 
 # ---------------------------------------------------------------------------
-# vectorized scorer equals the differentiable scorer
+# the all-item scorer equals the single-score path
 # ---------------------------------------------------------------------------
 
 
@@ -88,10 +89,14 @@ def test_fast_scorer_matches_tape_scorer(flags):
     user = 2
     history = sample_history(store, user, None, cfg.history_size,
                              substream(1, "eval-history"))
+    grads = {name: t.grad.copy() for name, t, _ in params.items()}
     scores = scorer.user_scores(user, history)
+    assert scorer.all_item_q(user).requires_grad is False
+    for name, t, _ in params.items():
+        np.testing.assert_array_equal(t.grad, grads[name], err_msg=name)
 
     def item_ctx(i):
-        nbrs = tuple(zip(contexts.rel[i].tolist(), contexts.tail[i].tolist()))
+        nbrs = tuple(zip(contexts.rels[i].tolist(), contexts.tails[i].tolist()))
         k = int(contexts.ctx_mask[i].sum())
         walk = tuple(contexts.ctx_rev[i, :k][::-1].tolist())
         return ItemContext(nbrs, walk)
@@ -110,6 +115,19 @@ def test_fast_scorer_handles_empty_history():
     scores = scorer.user_scores(0, [])
     assert scores.shape == (store.item_count,)
     assert np.isfinite(scores).all()
+
+
+def test_evaluation_aborts_on_non_finite_scores():
+    """An overflowing user aggregation raises, naming the op, instead of
+    ranking NaN scores."""
+    kg, model, params, cfg, items, _, cache = _world(11)
+    params["user_emb"].data[...] = 1.0
+    params["user_agg_W"].data[...] = 1e308
+    store = InteractionStore(4, 8, {"train": [(0, 0), (1, 1)],
+                                    "test": [(0, 2), (1, 3)]})
+    with pytest.raises(NumericError, match="matmul"):
+        evaluate(params, cfg, store, kg, items, cache, EvalConfig(k_values=(3,)),
+                 split="test", seed=0)
 
 
 # ---------------------------------------------------------------------------

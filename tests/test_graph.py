@@ -290,6 +290,25 @@ def test_dataset_directory_round_trip(tmp_path):
     assert stats["interactions"] == 3 and stats["entities"] == 10
 
 
+@pytest.mark.parametrize("name, text", [
+    ("meta.tsv", "users\ttwo\n"),                  # not an integer
+    ("meta.tsv", "users\t2\n"),                    # counts missing
+    ("item_entities.tsv", "0\t0\n1\t1\n7\t2\n"),   # item out of range
+])
+def test_malformed_dataset_directory_is_an_input_error(tmp_path, name, text):
+    rng = np.random.default_rng(0)
+    kg = synth.random_kg(rng, 10, 2, 20)
+    store = InteractionStore(2, 3, {"train": [(0, 0), (1, 2)]})
+    maps = IdMaps()
+    for ns, count in (("user", 2), ("item", 3), ("entity", 10), ("relation", 2)):
+        for j in range(count):
+            maps.intern(ns, f"{ns}{j}")
+    save_dataset(tmp_path / "ds", store, kg, np.array([0, 1, 2]), maps)
+    (tmp_path / "ds" / name).write_text(text)
+    with pytest.raises(InputError, match="malformed dataset"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_reingestion_is_bit_identical(tmp_path):
     text = "u2\tj\t5\nu1\tk\t5\nu2\tk\t4\n"
     p1 = _write(tmp_path / "a.tsv", text)
