@@ -287,22 +287,48 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _finish(out, (a,), backprop)
 
 
+def _row_index(indices, rows: int, op: str) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.intp).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"{op}: index out of range for {rows} rows")
+    return idx
+
+
+def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add row i of ``g`` into row idx[i] of t's gradient, where t is read as
+    rows of g's width (consecutive rows of t form one row when g is wider).
+
+    One bincount over flat (row, col) cells sums duplicates in index order,
+    as np.add.at does, at a fraction of its cost.  When idx names few of the
+    rows, the cells are numbered over its distinct rows only, so the buffer
+    and the addition cover just those rows.
+    """
+    if not t.requires_grad:
+        return
+    width = g.shape[1]
+    if width == 0 or 4 * idx.size > t.data.size // width:
+        cells = (idx[:, None] * width + np.arange(width)).ravel()
+        buf = np.bincount(cells, weights=g.ravel(), minlength=t.data.size)
+        # an empty index yields integer counts whatever the weights' type
+        _accum(t, buf.astype(np.float64, copy=False).reshape(t.shape), owned=True)
+        return
+    rows, inverse = np.unique(idx, return_inverse=True)
+    cells = (inverse[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=g.ravel(), minlength=rows.size * width)
+    if t.grad is None:
+        t.grad = np.zeros(t.shape)
+    elif not t.grad.flags.c_contiguous:
+        t.grad = np.ascontiguousarray(t.grad)
+    t.grad.reshape(-1, width)[rows] += sums.reshape(rows.size, width)
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows by index; duplicate indices scatter-add on backward."""
-    idx = np.asarray(indices, dtype=np.intp).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    idx = _row_index(indices, a.shape[0], "gather_rows")
     out = Tensor(a.data[idx], op="gather_rows")
 
     def backprop():
-        # one bincount over flat (row, col) cells sums duplicates in index
-        # order, as np.add.at does, at a fraction of its cost
-        rows, cols = a.shape
-        cells = (idx[:, None] * cols + np.arange(cols)).ravel()
-        buf = np.bincount(cells, weights=out.grad.ravel(), minlength=rows * cols)
-        # an empty index yields integer counts whatever the weights' type
-        buf = buf.astype(np.float64, copy=False).reshape(rows, cols)
-        _accum(a, buf, owned=True)
+        _accum_rows(a, idx, out.grad)
 
     return _finish(out, (a,), backprop)
 
@@ -393,12 +419,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # the tanh form cannot overflow, so it needs no split by sign
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -421,18 +445,81 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _finish(out, (a,), backprop)
 
 
+def _softmax_data(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (g - (g * y).sum(axis=1, keepdims=True)) * y
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax; each output row is a probability vector."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, op="softmax_rows")
+    out = Tensor(_softmax_data(a.data), op="softmax_rows")
 
     def backprop():
-        inner = (out.grad * out.data).sum(axis=1, keepdims=True)
-        _accum(a, (out.grad - inner) * out.data, owned=True)
+        _accum(a, _softmax_backward(out.grad, out.data), owned=True)
 
     return _finish(out, (a,), backprop)
+
+
+# ---------------------------------------------------------------------------
+# fused neighbor attention
+# ---------------------------------------------------------------------------
+#
+# The item stage holds S rows per item (neighbor k of item u is row u*S + k);
+# these ops read them by item index, so the (R*S, d) per-row copies of the
+# unfused gather / repeat / mul chain exist only as (R, S, d) views and
+# products inside the op.
+
+
+def neighbor_softmax(feat: Tensor, m: Tensor, row_items, row_users, s: int) -> Tensor:
+    """alpha (R, S): alpha[r, k] = softmax_k(feat[row_items[r]*S + k] . m[row_users[r]])."""
+    if s < 1 or feat.shape[0] % s != 0 or feat.shape[1] != m.shape[1]:
+        raise ShapeError(f"neighbor_softmax: feat {feat.shape}, m {m.shape}, S={s}")
+    items = _row_index(row_items, feat.shape[0] // s, "neighbor_softmax")
+    users = _row_index(row_users, m.shape[0], "neighbor_softmax")
+    if items.size != users.size:
+        raise ShapeError(f"neighbor_softmax: {items.size} items for {users.size} users")
+    f_rows = feat.data.reshape(-1, s, feat.shape[1])[items]     # (R, S, d)
+    m_rows = m.data[users]                                       # (R, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.einsum("rsd,rd->rs", f_rows, m_rows)
+        out = Tensor(_softmax_data(logits), op="neighbor_softmax")
+
+    def backprop():
+        d_logits = _softmax_backward(out.grad, out.data)
+        if feat.requires_grad:
+            # one (S*d)-wide row per item: the item's S neighbor rows
+            g = d_logits[:, :, None] * m_rows[:, None, :]
+            _accum_rows(feat, items, g.reshape(len(items), -1))
+        if m.requires_grad:
+            _accum_rows(m, users, np.einsum("rs,rsd->rd", d_logits, f_rows))
+
+    return _finish(out, (feat, m), backprop)
+
+
+def neighbor_sum(alpha: Tensor, e_t: Tensor, row_items) -> Tensor:
+    """(R, d): row r is sum_k alpha[r, k] * e_t[row_items[r]*S + k], S = alpha's width."""
+    s = alpha.shape[1]
+    if e_t.shape[0] % s != 0:
+        raise ShapeError(f"neighbor_sum: {e_t.shape[0]} rows not divisible by S={s}")
+    items = _row_index(row_items, e_t.shape[0] // s, "neighbor_sum")
+    if items.size != alpha.shape[0]:
+        raise ShapeError(f"neighbor_sum: {items.size} items for alpha {alpha.shape}")
+    t_rows = e_t.data.reshape(-1, s, e_t.shape[1])[items]      # (R, S, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = Tensor(np.einsum("rs,rsd->rd", alpha.data, t_rows), op="neighbor_sum")
+
+    def backprop():
+        if alpha.requires_grad:
+            _accum(alpha, np.einsum("rd,rsd->rs", out.grad, t_rows), owned=True)
+        if e_t.requires_grad:
+            g = alpha.data[:, :, None] * out.grad[:, None, :]
+            _accum_rows(e_t, items, g.reshape(len(items), -1))
+
+    return _finish(out, (alpha, e_t), backprop)
 
 
 def elementwise_gate(s, a, b) -> Tensor:
@@ -466,11 +553,53 @@ class GruParams:
 
 
 def gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
-    """One recurrence step: h' = (1 - z) ⊙ h + z ⊙ tanh(xWc + (r ⊙ h)Uc + bc)."""
-    z = sigmoid(add(affine(x, p.wz, p.bz), matmul(h, p.uz)))
-    r = sigmoid(add(affine(x, p.wr, p.br), matmul(h, p.ur)))
-    c = tanh(add(affine(x, p.wc, p.bc), matmul(mul(r, h), p.uc)))
-    return elementwise_gate(z, c, h)
+    """One recurrence step: h' = (1 - z) ⊙ h + z ⊙ tanh(xWc + (r ⊙ h)Uc + bc),
+    with z = sigmoid(xWz + bz + hUz) and r = sigmoid(xWr + br + hUr).
+
+    One tape node with a hand-written backward, after Appleyard et al.
+    (arXiv:1604.01946).  A non-finite gate pre-activation raises
+    ``NumericError`` too, although the saturating nonlinearity would hide it.
+    """
+    x, h = _wrap(x), _wrap(h)
+    if x.shape[0] != h.shape[0] or x.shape[1] != p.wz.shape[0] \
+            or h.shape[1] != p.uz.shape[0]:
+        raise ShapeError(f"gru_cell: x {x.shape}, h {h.shape}, W {p.wz.shape}, U {p.uz.shape}")
+    xs, hs = x.data, h.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre_z = xs @ p.wz.data + p.bz.data + hs @ p.uz.data
+        pre_r = xs @ p.wr.data + p.br.data + hs @ p.ur.data
+        r = _sigmoid_data(pre_r)
+        rh = r * hs
+        pre_c = xs @ p.wc.data + p.bc.data + rh @ p.uc.data
+        if not (np.isfinite(pre_z).all() and np.isfinite(pre_r).all()
+                and np.isfinite(pre_c).all()):
+            raise NumericError("op 'gru_cell' produced non-finite values")
+        z = _sigmoid_data(pre_z)
+        c = np.tanh(pre_c)
+        out = Tensor(z * c + (1.0 - z) * hs, op="gru_cell")
+
+    def backprop():
+        g = out.grad
+        d_c = g * z * (1.0 - c * c)
+        d_z = g * (c - hs) * z * (1.0 - z)
+        d_rh = d_c @ p.uc.data.T
+        d_r = d_rh * hs * r * (1.0 - r)
+        for pre, w, u, b, u_in in ((d_z, p.wz, p.uz, p.bz, hs), (d_r, p.wr, p.ur, p.br, hs),
+                                   (d_c, p.wc, p.uc, p.bc, rh)):
+            if w.requires_grad:
+                _accum(w, xs.T @ pre, owned=True)
+            if u.requires_grad:
+                _accum(u, u_in.T @ pre, owned=True)
+            if b.requires_grad:
+                _accum(b, pre.sum(axis=0, keepdims=True), owned=True)
+        if x.requires_grad:
+            _accum(x, d_z @ p.wz.data.T + d_r @ p.wr.data.T + d_c @ p.wc.data.T, owned=True)
+        if h.requires_grad:
+            _accum(h, g * (1.0 - z) + d_rh * r + d_z @ p.uz.data.T + d_r @ p.ur.data.T,
+                   owned=True)
+
+    return _finish(out, (x, h, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wc, p.uc, p.bc),
+                   backprop)
 
 
 def gru_run(xs, p: GruParams, h0: Tensor | None = None) -> Tensor:
@@ -563,9 +692,16 @@ class AdamState:
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in registry.trainable_items()}
         self._v = {name: np.zeros_like(t.data) for name, t in registry.trainable_items()}
+        # two scratch arrays per parameter, so a step allocates nothing
+        self._scratch = {name: (np.empty_like(t.data), np.empty_like(t.data))
+                         for name, t in registry.trainable_items()}
 
     def step(self, registry: ParamRegistry, eta: float) -> None:
-        """Apply one update to all trainable parameters, then zero gradients."""
+        """Apply one update to all trainable parameters, then zero gradients.
+
+        In place, in the operation order of  m = b1 m + (1-b1) g,
+        v = b2 v + (1-b2) g g,  p -= eta (m/c1) / (sqrt(v/c2) + eps).
+        """
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
@@ -574,11 +710,21 @@ class AdamState:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
+            step, denom = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=step)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= eta * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=step)
+            step *= g
+            v += step
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, c1, out=step)
+            np.multiply(eta, step, out=step)
+            step /= denom
+            p.data -= step
             if not np.isfinite(p.data).all():
                 raise NumericError(f"adam update produced non-finite values in {name!r}")
         registry.zero_grads()

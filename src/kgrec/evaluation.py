@@ -61,9 +61,7 @@ class ItemContextSet:
         context."""
         neighbors = [sample_local_neighbors(kg, int(entity), local_size, rng)
                      for entity in item_entities]
-        contexts = [cache.context(item) for item in range(len(item_entities))]
-        return ItemInputs.build(item_entities, neighbors, contexts,
-                                width=cache.context_size)
+        return ItemInputs.build(item_entities, neighbors, *cache.padded_contexts)
 
 
 class FastScorer:

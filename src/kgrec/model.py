@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GruParams, ParamRegistry, Tensor
 from .graph import InputError
+from .sampling import reverse_pad
 
 
 @dataclass
@@ -103,18 +104,12 @@ class ItemInputs:
     ctx_mask: np.ndarray    # (U, C) 1.0 where ctx_rev is real
 
     @classmethod
-    def build(cls, entities, neighbors, walk_contexts, width: int) -> "ItemInputs":
-        """From each item's ((relation, tail), ...) draw and its walk context
-        (most-frequent first), cut to ``width`` entities."""
-        rels = np.array([[r for r, _ in nbrs] for nbrs in neighbors], dtype=np.int64)
-        tails = np.array([[t for _, t in nbrs] for nbrs in neighbors], dtype=np.int64)
-        ctx_rev = np.zeros((len(walk_contexts), width), dtype=np.int64)
-        ctx_mask = np.zeros(ctx_rev.shape)
-        for row, ctx in enumerate(walk_contexts):
-            k = min(len(ctx), width)
-            ctx_rev[row, :k] = np.asarray(ctx[:k])[::-1]
-            ctx_mask[row, :k] = 1.0
-        return cls(np.asarray(entities, dtype=np.int64), rels, tails, ctx_rev, ctx_mask)
+    def build(cls, entities, neighbors, ctx_rev, ctx_mask) -> "ItemInputs":
+        """From each item's ((relation, tail), ...) draw and its rows of the
+        reversed, padded walk contexts (``WalkCache.padded_contexts``)."""
+        pairs = np.asarray(neighbors, dtype=np.int64).reshape(len(neighbors), -1, 2)
+        return cls(np.asarray(entities, dtype=np.int64), pairs[:, :, 0], pairs[:, :, 1],
+                   np.asarray(ctx_rev, dtype=np.int64), np.asarray(ctx_mask, dtype=np.float64))
 
 
 @dataclass
@@ -184,11 +179,11 @@ class GraphContextModel:
             return "local"
         return None
 
-    def _user_preference_rows(self, user_rows) -> Tensor:
-        """m_u per row; the all-ones vector when user attention is disabled."""
+    def _user_preferences(self, users) -> Tensor:
+        """m_u per user; the all-ones vector when user attention is disabled."""
         if self.cfg.disable_user_attention:
-            return ad.constant(np.ones((len(user_rows), self.cfg.dim)))
-        e_u = ad.gather_rows(self.params["user_emb"], user_rows)
+            return ad.constant(np.ones((len(users), self.cfg.dim)))
+        e_u = ad.gather_rows(self.params["user_emb"], users)
         return ad.relu(ad.affine(e_u, self.params["user_proj_W"],
                                  self.params["user_proj_b"]))
 
@@ -234,23 +229,20 @@ class GraphContextModel:
         and the neighbor attention (R, S), None when the local context is off.
 
         Row r is user ``user_rows[r]`` with item ``row_items[r]`` of the
-        stage; the user preference ``m_u``, the neighbor softmax, the local
-        aggregate and the gate run per row and read the item stage through
-        ``gather_rows``.
+        stage.  ``m_u`` runs once per distinct user; the neighbor softmax, the
+        local aggregate and the gate run per row and read the item stage by
+        index.
         """
-        rows, s = len(row_items), stage.local_size
         e_h = ad.gather_rows(stage.e_h, row_items)
         alpha = c_local = None
         if stage.feat is not None:
-            # neighbor k of row r is cell row_items[r] * s + k of the item stage
-            cells = (row_items[:, None] * s + np.arange(s)).ravel()
-            m = self._user_preference_rows(user_rows)
-            scores = ad.row_sums(ad.mul(ad.gather_rows(stage.feat, cells),
-                                        ad.repeat_rows(m, s)))
-            alpha = ad.softmax_rows(ad.reshape(scores, rows, s))
-            weighted = ad.mul(ad.reshape(alpha, rows * s, 1),
-                              ad.gather_rows(stage.e_t, cells))
-            c_local = self._aggregate(e_h, ad.sum_row_groups(weighted, s))
+            # m_u once per distinct user; the fused ops read the item stage's
+            # neighbor rows and m_u by index
+            users, user_index = np.unique(user_rows, return_inverse=True)
+            m = self._user_preferences(users)
+            alpha = ad.neighbor_softmax(stage.feat, m, row_items, user_index,
+                                        stage.local_size)
+            c_local = self._aggregate(e_h, ad.neighbor_sum(alpha, stage.e_t, row_items))
         if stage.c_nonlocal is None:
             fused = c_local
         else:
@@ -265,8 +257,8 @@ class GraphContextModel:
     def _one_row(self, user: int, entity: int, neighbors, walk_context,
                  force: str | None = None) -> tuple[Tensor, Tensor | None]:
         """Both stages for a single (user, entity) row."""
-        items = ItemInputs.build([entity], [neighbors], [walk_context],
-                                 width=len(walk_context))
+        items = ItemInputs.build([entity], [neighbors],
+                                 *reverse_pad([walk_context], len(walk_context)))
         return self.user_stage(self.item_stage(items, force=force), np.array([user]),
                                np.zeros(1, dtype=np.int64))
 

@@ -15,7 +15,7 @@ import warnings
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -125,6 +125,21 @@ _CACHE_MAGIC = b"KGWC"
 _CACHE_VERSION = 1
 
 
+def reverse_pad(contexts, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``width`` ids of every context in reverse order (least
+    frequent first), 0-padded to an (n, width) array, and its mask: 1.0 where
+    the array holds a real id."""
+    lengths = np.array([min(len(ctx), width) for ctx in contexts], dtype=np.int64)
+    flat = np.concatenate([np.asarray(ctx, dtype=np.int64)[:width] for ctx in contexts]
+                          + [np.zeros(0, dtype=np.int64)])
+    mask = np.arange(width) < lengths[:, None]
+    # column j of row i holds id lengths[i] - 1 - j of that row's context
+    ends = np.cumsum(lengths) - 1
+    ctx_rev = np.zeros((len(lengths), width), dtype=np.int64)
+    ctx_rev[mask] = flat[(ends[:, None] - np.arange(width))[mask]]
+    return ctx_rev, mask.astype(np.float64)
+
+
 @dataclass
 class WalkCache:
     """Frozen per-item walk contexts, ordered most-frequent first."""
@@ -142,6 +157,12 @@ class WalkCache:
 
     def context(self, item: int) -> np.ndarray:
         return self.contexts[item]
+
+    @cached_property
+    def padded_contexts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``reverse_pad`` of every item's context at ``context_size``, as (I, C)
+        id and mask arrays; built on first use and kept."""
+        return reverse_pad(self.contexts, self.context_size)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

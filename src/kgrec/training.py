@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, ParamRegistry, Tensor
+from .autodiff import AdamState, NumericError, ParamRegistry, Tensor
 from .evaluation import EvalConfig, evaluate
 from .graph import InputError, InteractionStore, KnowledgeGraph
 from .model import (GraphContextModel, ItemInputs, ModelConfig, PairBatch,
@@ -159,9 +159,9 @@ def assemble_pair_batch(tuples, model_cfg: ModelConfig, kg: KnowledgeGraph,
     # one draw per distinct item, in ascending item order, fixes the stream
     neighbors = [sample_local_neighbors(kg, int(item_entities[item]), s, rng)
                  for item in unique_items]
+    ctx_rev, ctx_mask = cache.padded_contexts
     items = ItemInputs.build(item_entities[unique_items], neighbors,
-                             [cache.context(item) for item in unique_items],
-                             width=cache.context_size)
+                             ctx_rev[unique_items], ctx_mask[unique_items])
 
     tuple_users = np.array([u for u, _, _ in tuples], dtype=np.int64)
     users = np.concatenate([tuple_users, tuple_users, np.repeat(tuple_users, n)])
@@ -180,7 +180,11 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
           params: ParamRegistry | None = None,
           eval_cfg: EvalConfig | None = None,
           log=None) -> tuple[ParamRegistry, TrainReport]:
-    """Optimize the model and return (best-validation parameters, report)."""
+    """Optimize the model and return (best-validation parameters, report).
+
+    A ``NumericError`` raised by a batch is re-raised with the epoch and the
+    batch (both counted from 1) in front of its message.
+    """
     if not store.pairs("train"):
         raise InputError("training split is empty")
     if cache.item_count != store.item_count:
@@ -241,11 +245,14 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
             quad_slice = [kg_quads[j] for j in kg_order[bi * b2:(bi + 1) * b2]]
             batch = assemble_pair_batch(tuple_slice, model_cfg, kg, cache, store,
                                         item_entities, rng_ctx)
-            y_pos, y_neg = model.scores_batch(batch)
-            loss, parts = total_objective(model, y_pos, y_neg, quad_slice, train_cfg)
-            params.zero_grads()
-            loss.backward()
-            adam.step(params, train_cfg.eta)
+            try:
+                y_pos, y_neg = model.scores_batch(batch)
+                loss, parts = total_objective(model, y_pos, y_neg, quad_slice, train_cfg)
+                params.zero_grads()
+                loss.backward()
+                adam.step(params, train_cfg.eta)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch} batch {bi + 1}: {exc}") from exc
             sums["bpr"] += parts["bpr"] * len(tuple_slice)
             weights["bpr"] += len(tuple_slice)
             sums["kg"] += parts["kg"] * len(quad_slice)

@@ -44,6 +44,8 @@ def test_c1_gradient_suite():
     worst = 0.0
     rng = np.random.default_rng(101)
 
+    gru_names = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
+                 "gru_wc", "gru_uc", "gru_bc")
     primitive_builders = {
         "add": (lambda r: ad.add(r["a"], r["b"]), {"a": (3, 4), "b": (1, 4)}),
         "sub": (lambda r: ad.sub(r["a"], r["b"]), {"a": (3, 4), "b": (3, 4)}),
@@ -67,6 +69,16 @@ def test_c1_gradient_suite():
                    {"x": (2, 3), "w": (3, 4), "b": (1, 4)}),
         "dot": (lambda r: ad.dot(r["a"], r["b"]), {"a": (1, 5), "b": (1, 5)}),
         "square": (lambda r: ad.square(r["a"]), {"a": (2, 4)}),
+        # fused ops; rows repeat items (2, 0) and users (0, 1)
+        "neighbor_softmax": (
+            lambda r: ad.neighbor_softmax(r["f"], r["m"], [2, 0, 2, 1, 0], [1, 0, 0, 1, 1], 2),
+            {"f": (6, 3), "m": (2, 3)}),
+        "neighbor_sum": (lambda r: ad.neighbor_sum(r["a"], r["e"], [2, 0, 2, 1, 0]),
+                         {"a": (5, 2), "e": (6, 3)}),
+        "gru_cell": (
+            lambda r: ad.gru_cell(r["x"], r["h"], ad.GruParams(*(r[n] for n in gru_names))),
+            {**{n: (1, 3) if n.endswith(("bz", "br", "bc")) else (3, 3) for n in gru_names},
+             "x": (2, 3), "h": (2, 3)}),
     }
     for name, (builder, shapes) in primitive_builders.items():
         for _ in range(50):
@@ -80,8 +92,6 @@ def test_c1_gradient_suite():
             worst = max(worst, err)
             assert err < 1e-4, f"{name}: {err}"
 
-    gru_names = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
-                 "gru_wc", "gru_uc", "gru_bc")
     for _ in range(50):
         reg = ad.ParamRegistry()
         for name in gru_names:

@@ -19,6 +19,24 @@ from kgrec.autodiff import (AdamState, CheckpointError, GruParams, NumericError,
 
 N_DRAWS = 50
 
+GRU_NAMES = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
+             "gru_wc", "gru_uc", "gru_bc")
+# rows of the fused neighbor ops: items and users both repeat, and the same
+# item appears under several users
+NBR_ITEMS = [2, 0, 2, 1, 2, 0, 3]
+NBR_USERS = [1, 1, 0, 2, 0, 1, 2]
+NBR_S = 3
+
+
+def _gru_shapes(dx, dh, rows):
+    shapes = {name: (1, dh) if name.endswith(("bz", "br", "bc"))
+              else (dx if name[-2] == "w" else dh, dh) for name in GRU_NAMES}
+    return {**shapes, "x": (rows, dx), "h": (rows, dh)}
+
+
+def _gru_params(reg):
+    return GruParams(*(reg[name] for name in GRU_NAMES))
+
 
 def _registry_with(rng, shapes):
     reg = ParamRegistry()
@@ -62,6 +80,12 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
     ("gate_broadcast", lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
      {"s": (1, 4), "a": (3, 4), "b": (3, 4)}),
     ("dot", lambda r: ad.dot(r["a"], r["b"]), {"a": (1, 6), "b": (1, 6)}),
+    ("neighbor_softmax",
+     lambda r: ad.neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
+     {"f": (4 * NBR_S, 5), "m": (3, 5)}),
+    ("neighbor_sum", lambda r: ad.neighbor_sum(r["a"], r["e"], NBR_ITEMS),
+     {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 5)}),
+    ("gru_cell", lambda r: gru_cell(r["x"], r["h"], _gru_params(r)), _gru_shapes(3, 4, 5)),
 ])
 def test_primitive_gradients(name, builder, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -177,6 +201,18 @@ def test_gather_rows_backward_equals_add_at():
         expected = np.zeros((rows, cols))
         np.add.at(expected, np.asarray(picks, dtype=np.intp), weight)
         np.testing.assert_array_equal(a.grad, expected)
+    # gathers of one table add up, whether they scatter over the whole table
+    # (many picks) or over the rows they name (few picks)
+    for first, second in (([5, 5], rng.integers(0, 40, size=60)), ([3], [3, 7])):
+        reg = ParamRegistry()
+        a = reg.register("a", np.zeros((40, 3)))
+        w1, w2 = rng.normal(size=(len(first), 3)), rng.normal(size=(len(second), 3))
+        ad.add(ad.sum_all(ad.mul(ad.gather_rows(a, first), ad.constant(w1))),
+               ad.sum_all(ad.mul(ad.gather_rows(a, second), ad.constant(w2)))).backward()
+        expected = np.zeros((40, 3))
+        np.add.at(expected, np.asarray(first), w1)
+        np.add.at(expected, np.asarray(second), w2)
+        np.testing.assert_allclose(a.grad, expected, rtol=1e-15, atol=0)
     # an empty gather's gradient can be the first one an intermediate adopts
     for first, second in (([], [0, 0]), ([0, 0], [])):
         reg = ParamRegistry()
@@ -206,6 +242,96 @@ def test_non_finite_output_aborts_with_op_name():
     big = ad.constant(np.full((1, 1), 1e200))
     with pytest.raises(NumericError, match="mul"):
         ad.mul(big, big)
+
+
+def _unfused_neighbor_softmax(feat, m, items, users, s):
+    cells = (np.asarray(items)[:, None] * s + np.arange(s)).ravel()
+    scores = ad.row_sums(ad.mul(ad.gather_rows(feat, cells),
+                                ad.repeat_rows(ad.gather_rows(m, users), s)))
+    return ad.softmax_rows(ad.reshape(scores, len(items), s))
+
+
+def _unfused_neighbor_sum(alpha, e_t, items):
+    rows, s = alpha.shape
+    cells = (np.asarray(items)[:, None] * s + np.arange(s)).ravel()
+    weighted = ad.mul(ad.reshape(alpha, rows * s, 1), ad.gather_rows(e_t, cells))
+    return ad.sum_row_groups(weighted, s)
+
+
+def _unfused_gru_cell(x, h, p):
+    z = ad.sigmoid(ad.add(ad.affine(x, p.wz, p.bz), ad.matmul(h, p.uz)))
+    r = ad.sigmoid(ad.add(ad.affine(x, p.wr, p.br), ad.matmul(h, p.ur)))
+    c = ad.tanh(ad.add(ad.affine(x, p.wc, p.bc), ad.matmul(ad.mul(r, h), p.uc)))
+    return ad.elementwise_gate(z, c, h)
+
+
+_FUSED_CASES = {
+    "neighbor_softmax": (
+        lambda r: ad.neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
+        lambda r: _unfused_neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
+        {"f": (4 * NBR_S, 6), "m": (3, 6)}),
+    "neighbor_sum": (
+        lambda r: ad.neighbor_sum(ad.softmax_rows(r["a"]), r["e"], NBR_ITEMS),
+        lambda r: _unfused_neighbor_sum(ad.softmax_rows(r["a"]), r["e"], NBR_ITEMS),
+        {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 6)}),
+    "gru_cell": (
+        lambda r: gru_cell(r["x"], r["h"], _gru_params(r)),
+        lambda r: _unfused_gru_cell(r["x"], r["h"], _gru_params(r)),
+        _gru_shapes(5, 4, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED_CASES))
+def test_fused_op_matches_unfused_composition(name):
+    fused, unfused, shapes = _FUSED_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()) + 1)
+    for _ in range(20):
+        reg = _registry_with(rng, shapes)
+        for k in shapes:
+            reg[k].data *= 3.0
+        weight = ad.constant(rng.normal(size=fused(reg).shape))
+        results = []
+        for build in (fused, unfused):
+            reg.zero_grads()
+            out = build(reg)
+            ad.sum_all(ad.mul(out, weight)).backward()
+            results.append((out.data, {k: reg[k].grad.copy() for k in shapes}))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for k in shapes:
+            np.testing.assert_allclose(got_grads[k], want_grads[k], rtol=0, atol=1e-12,
+                                       err_msg=k)
+
+
+def test_fused_neighbor_ops_pick_rows_by_item_and_user():
+    feat = ad.constant(np.arange(12.0).reshape(6, 2))       # 3 items, S = 2
+    m = ad.constant([[1.0, 0.0], [0.0, 1.0]])
+    alpha = ad.neighbor_softmax(feat, m, [2, 2, 0], [0, 1, 1], 2).data
+    # row 0: item 2 (feature rows 4, 5) under user 0 reads column 0
+    np.testing.assert_allclose(alpha[0], ad.softmax_rows(ad.constant([[8.0, 10.0]])).data[0])
+    np.testing.assert_allclose(alpha[1], ad.softmax_rows(ad.constant([[9.0, 11.0]])).data[0])
+    np.testing.assert_allclose(alpha[2], ad.softmax_rows(ad.constant([[1.0, 3.0]])).data[0])
+    mixed = ad.neighbor_sum(ad.constant([[0.25, 0.75]]), feat, [1]).data
+    np.testing.assert_allclose(mixed, [[0.25 * 4 + 0.75 * 6, 0.25 * 5 + 0.75 * 7]])
+    with pytest.raises(ShapeError):
+        ad.neighbor_softmax(feat, m, [3], [0], 2)
+    with pytest.raises(ShapeError):
+        ad.neighbor_sum(ad.constant([[1.0, 0.0]]), feat, [0, 1])
+
+
+def test_fused_ops_name_themselves_on_overflow():
+    huge = ad.constant(np.full((4, 2), 1e200))
+    with pytest.raises(NumericError, match="'neighbor_softmax'"):
+        ad.neighbor_softmax(huge, ad.constant(np.full((1, 2), 1e200)), [0, 1], [0, 0], 2)
+    with pytest.raises(NumericError, match="'neighbor_sum'"):
+        ad.neighbor_sum(ad.constant([[1e200, 1e200]]), huge, [1])
+    rng = np.random.default_rng(37)
+    reg = _registry_with(rng, _gru_shapes(2, 2, 1))
+    reg["x"].data[...] = 1e200
+    reg["gru_wz"].data[...] = 1e200
+    # the update gate's pre-activation overflows; its sigmoid alone would hide it
+    with pytest.raises(NumericError, match="'gru_cell'"):
+        gru_cell(reg["x"], reg["h"], _gru_params(reg))
 
 
 def test_forward_is_deterministic():
@@ -312,6 +438,32 @@ def test_adam_first_step_magnitude_close_to_eta():
     np.testing.assert_allclose(np.abs(p.data), 1e-2, rtol=1e-6)
     assert p.data[0, 0] < 0 < p.data[0, 1]
     assert (p.grad == 0).all(), "gradients must be zeroed after the step"
+
+
+def test_adam_step_equals_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(41)
+    reg = ParamRegistry()
+    p = reg.register("p", rng.normal(size=(5, 3)))
+    q = reg.register("q", rng.normal(size=(1, 4)))
+    state = AdamState(reg)
+    b1, b2, eps, eta = 0.9, 0.999, 1e-8, 0.01
+    expected = {"p": p.data.copy(), "q": q.data.copy()}
+    moments = {name: (np.zeros_like(v), np.zeros_like(v)) for name, v in expected.items()}
+    for t in range(1, 21):
+        grads = {name: rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 3)
+                 for name, v in expected.items()}
+        for name, g in grads.items():
+            reg[name].grad[...] = g
+        state.step(reg, eta)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for name, g in grads.items():
+            m, v = moments[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            expected[name] -= eta * (m / c1) / (np.sqrt(v / c2) + eps)
+            assert np.array_equal(reg[name].data, expected[name]), (t, name)
 
 
 def test_adam_trajectories_are_reproducible():

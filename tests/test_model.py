@@ -10,7 +10,7 @@ from kgrec.autodiff import finite_difference_check, gru_run
 from kgrec.graph import InputError
 from kgrec.model import (GraphContextModel, ItemContext, ItemInputs, ModelConfig,
                          PairBatch, ScoreContext)
-from kgrec.sampling import sample_kg_negatives, substream
+from kgrec.sampling import reverse_pad, sample_kg_negatives, substream
 from kgrec.training import TrainConfig, total_objective
 
 import synth
@@ -352,14 +352,28 @@ def _repeated_item_batch(model, contexts, tuples, histories):
     slot_items = ([t[1] for t in tuples] + [t[2] for t in tuples]
                   + [h for hist in histories for h in (hist if hist else [0] * n)])
     unique, row_items = np.unique(slot_items, return_inverse=True)
+    ctx_rev, ctx_mask = reverse_pad([contexts[i][1] for i in unique], 3)
     items = ItemInputs.build(model.item_entities[unique],
-                             [contexts[i][0] for i in unique],
-                             [contexts[i][1] for i in unique], width=3)
+                             [contexts[i][0] for i in unique], ctx_rev, ctx_mask)
     users = np.array([t[0] for t in tuples])
     return PairBatch(user_rows=np.concatenate([users, users, np.repeat(users, n)]),
                      row_items=row_items, items=items, tuple_users=users,
                      history_mask=np.array([[1.0 if h else 0.0] for h in histories]),
                      size=b, n_targets=2, history_size=n)
+
+
+def test_item_inputs_split_the_neighbor_draws():
+    neighbors = [[(0, 4), (1, 5), (0, 6)], [(2, 7), (2, 7), (1, 3)]]
+    ctx_rev, ctx_mask = reverse_pad([[4, 9], []], 3)
+    items = ItemInputs.build([11, 12], neighbors, ctx_rev, ctx_mask)
+    np.testing.assert_array_equal(items.rels, [[r for r, _ in n] for n in neighbors])
+    np.testing.assert_array_equal(items.tails, [[t for _, t in n] for n in neighbors])
+    np.testing.assert_array_equal(items.ctx_rev, [[9, 4, 0], [0, 0, 0]])
+    np.testing.assert_array_equal(items.ctx_mask, [[1, 1, 0], [0, 0, 0]])
+    assert items.rels.dtype == items.tails.dtype == np.int64
+    # the non-local-only single row has no neighbor draw at all
+    empty = ItemInputs.build([3], [()], np.zeros((1, 0)), np.zeros((1, 0)))
+    assert empty.rels.shape == empty.tails.shape == (1, 0)
 
 
 def test_batched_scores_match_per_sample_scores():

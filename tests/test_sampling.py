@@ -12,7 +12,7 @@ import pytest
 
 from kgrec.graph import InputError, InteractionStore, KnowledgeGraph, Triple
 from kgrec.sampling import (WalkCache, WalkConfig, build_walk_cache,
-                            nonlocal_context, rank_walk_visits, run_walks,
+                            nonlocal_context, rank_walk_visits, reverse_pad, run_walks,
                             sample_bpr_tuples, sample_history,
                             sample_kg_negatives, sample_local_neighbors,
                             substream, walk_step)
@@ -262,6 +262,43 @@ def test_cache_file_round_trip(tmp_path):
     assert loaded.gamma == pytest.approx(0.3)
     for i in range(4):
         np.testing.assert_array_equal(loaded.context(i), cache.context(i))
+
+
+def _reverse_pad_loop(contexts, width):
+    """The per-item loop the padded arrays replace."""
+    ctx_rev = np.zeros((len(contexts), width), dtype=np.int64)
+    ctx_mask = np.zeros(ctx_rev.shape)
+    for row, ctx in enumerate(contexts):
+        k = min(len(ctx), width)
+        ctx_rev[row, :k] = np.asarray(ctx[:k])[::-1]
+        ctx_mask[row, :k] = 1.0
+    return ctx_rev, ctx_mask
+
+
+def test_padded_contexts_equal_the_per_item_loop(tmp_path):
+    rng = np.random.default_rng(12)
+    # empty, shorter than, equal to and longer than the width
+    contexts = [np.zeros(0, dtype=np.int64), np.array([5]), np.array([3, 9]),
+                np.array([7, 1, 4]), np.array([2, 8, 6, 0, 11]), np.zeros(0, dtype=np.int64)]
+    contexts += [rng.integers(0, 50, size=int(rng.integers(0, 6))) for _ in range(40)]
+    cache = WalkCache(contexts, 3, seed=1, gamma=0.2, num_walks=2, walk_length=3)
+    ctx_rev, ctx_mask = cache.padded_contexts
+    want_rev, want_mask = _reverse_pad_loop(contexts, 3)
+    np.testing.assert_array_equal(ctx_rev, want_rev)
+    np.testing.assert_array_equal(ctx_mask, want_mask)
+    assert ctx_rev.dtype == np.int64 and ctx_mask.dtype == np.float64
+    assert cache.padded_contexts[0] is ctx_rev, "built once per cache object"
+    for width in (1, 5, 7):
+        for got, want in zip(reverse_pad(contexts, width), _reverse_pad_loop(contexts, width)):
+            np.testing.assert_array_equal(got, want)
+    empty_rev, empty_mask = reverse_pad([], 3)
+    assert empty_rev.shape == empty_mask.shape == (0, 3)
+    # loading a cache builds nothing; the arrays come on first use
+    path = tmp_path / "cache.bin"
+    cache.save(path)
+    loaded = WalkCache.load(path)
+    assert "padded_contexts" not in vars(loaded)
+    np.testing.assert_array_equal(loaded.padded_contexts[0], want_rev)
 
 
 def test_cache_rejects_foreign_files(tmp_path):

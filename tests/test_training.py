@@ -337,6 +337,23 @@ def test_cache_item_count_is_validated():
               TrainConfig(epochs=1))
 
 
+def test_numeric_abort_names_epoch_batch_and_op():
+    store, kg, item_entities, cache, mcfg = _planted_mini()
+    params = init_params(mcfg, store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, substream(0, "init"))
+    # the user aggregation overflows in the first batch's forward
+    params["user_emb"].data[...] = 1.0
+    params["user_agg_W"].data[...] = 1e308
+    tcfg = TrainConfig(batch_size=16, n_neg=1, epochs=2, seed=3)
+    with pytest.raises(ad.NumericError,
+                       match=r"^epoch 1 batch 1: op 'matmul' produced non-finite values$"):
+        train(store, kg, item_entities, cache, mcfg, tcfg, params=params)
+    # a step size that blows the parameters up fails a later batch
+    tcfg = TrainConfig(eta=1e155, lambda2=1.0, batch_size=16, n_neg=1, epochs=2, seed=3)
+    with pytest.raises(ad.NumericError, match=r"^epoch 1 batch 2: op '\w+' produced"):
+        train(store, kg, item_entities, cache, mcfg, tcfg)
+
+
 def test_max_batches_caps_the_run():
     store, kg, item_entities, cache, mcfg = _planted_mini()
     tcfg = TrainConfig(eta=1e-3, batch_size=16, n_neg=2, epochs=50, seed=2,
