@@ -299,27 +299,15 @@ def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
     rows of g's width (consecutive rows of t form one row when g is wider).
 
     One bincount over flat (row, col) cells sums duplicates in index order,
-    as np.add.at does, at a fraction of its cost.  When idx names few of the
-    rows, the cells are numbered over its distinct rows only, so the buffer
-    and the addition cover just those rows.
+    as np.add.at does, at a fraction of its cost.
     """
     if not t.requires_grad:
         return
     width = g.shape[1]
-    if width == 0 or 4 * idx.size > t.data.size // width:
-        cells = (idx[:, None] * width + np.arange(width)).ravel()
-        buf = np.bincount(cells, weights=g.ravel(), minlength=t.data.size)
-        # an empty index yields integer counts whatever the weights' type
-        _accum(t, buf.astype(np.float64, copy=False).reshape(t.shape), owned=True)
-        return
-    rows, inverse = np.unique(idx, return_inverse=True)
-    cells = (inverse[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(cells, weights=g.ravel(), minlength=rows.size * width)
-    if t.grad is None:
-        t.grad = np.zeros(t.shape)
-    elif not t.grad.flags.c_contiguous:
-        t.grad = np.ascontiguousarray(t.grad)
-    t.grad.reshape(-1, width)[rows] += sums.reshape(rows.size, width)
+    cells = (idx[:, None] * width + np.arange(width)).ravel()
+    buf = np.bincount(cells, weights=g.ravel(), minlength=t.data.size)
+    # an empty index yields integer counts whatever the weights' type
+    _accum(t, buf.astype(np.float64, copy=False).reshape(t.shape), owned=True)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:

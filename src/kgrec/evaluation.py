@@ -136,6 +136,9 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     """
     cfg = cfg or EvalConfig()
     split = split or cfg.split
+    if cache.item_count != len(item_entities):
+        raise InputError(f"walk cache covers {cache.item_count} items, "
+                         f"dataset has {len(item_entities)}")
     started = time.perf_counter()
     contexts = ItemContextSet.build(kg, item_entities, cache, model_cfg.local_size,
                                     substream(seed, "eval-items"))

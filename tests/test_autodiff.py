@@ -201,18 +201,6 @@ def test_gather_rows_backward_equals_add_at():
         expected = np.zeros((rows, cols))
         np.add.at(expected, np.asarray(picks, dtype=np.intp), weight)
         np.testing.assert_array_equal(a.grad, expected)
-    # gathers of one table add up, whether they scatter over the whole table
-    # (many picks) or over the rows they name (few picks)
-    for first, second in (([5, 5], rng.integers(0, 40, size=60)), ([3], [3, 7])):
-        reg = ParamRegistry()
-        a = reg.register("a", np.zeros((40, 3)))
-        w1, w2 = rng.normal(size=(len(first), 3)), rng.normal(size=(len(second), 3))
-        ad.add(ad.sum_all(ad.mul(ad.gather_rows(a, first), ad.constant(w1))),
-               ad.sum_all(ad.mul(ad.gather_rows(a, second), ad.constant(w2)))).backward()
-        expected = np.zeros((40, 3))
-        np.add.at(expected, np.asarray(first), w1)
-        np.add.at(expected, np.asarray(second), w2)
-        np.testing.assert_allclose(a.grad, expected, rtol=1e-15, atol=0)
     # an empty gather's gradient can be the first one an intermediate adopts
     for first, second in (([], [0, 0]), ([0, 0], [])):
         reg = ParamRegistry()

@@ -1,5 +1,7 @@
 """End-to-end pipeline tests through the command-line interface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kgrec.cli import main
 from kgrec.config import load_config, save_config
 from kgrec.graph import load_dataset
 from kgrec.model import ModelConfig, init_params
+from kgrec.sampling import WalkCache
 
 import synth
 
@@ -224,6 +227,25 @@ def test_non_finite_evaluation_exits_two(pipeline):
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(ckpt), "--split", "test"])
     assert code == 2
+
+
+def test_evaluate_with_cache_of_other_item_count_exits_one(pipeline, tmp_path):
+    _, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    params = init_params(ModelConfig(), store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, np.random.default_rng(0))
+    ckpt = tmp_path / "init.bin"
+    save_checkpoint(ckpt, params, {"dim": 32, "n_users": store.user_count,
+                                   "n_entities": kg.entity_count,
+                                   "n_relations": kg.relation_embedding_count})
+    for delta in (-1, 1):
+        walks = WalkCache.load(cache)
+        contexts = walks.contexts[:delta] if delta < 0 else walks.contexts + walks.contexts[:1]
+        other = tmp_path / f"cache{delta}.bin"
+        dataclasses.replace(walks, contexts=contexts).save(other)
+        code = main(["evaluate", "--dataset", str(dataset), "--cache", str(other),
+                     "--checkpoint", str(ckpt), "--split", "test"])
+        assert code == 1
 
 
 def test_truncated_cache_exits_one(pipeline, tmp_path):
