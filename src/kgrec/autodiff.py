@@ -96,41 +96,12 @@ class Tensor:
                 node._backprop = None
                 node._parents = ()
 
-    # operator sugar; scalars and arrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return sub(0.0, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
 def constant(value) -> Tensor:
     return Tensor(value, requires_grad=False, op="const")
-
-
-def parameter(value, name: str = "param") -> Tensor:
-    t = Tensor(value, requires_grad=True, op=name)
-    t.grad = np.zeros_like(t.data)
-    return t
 
 
 def _wrap(value) -> Tensor:
@@ -376,13 +347,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _finish(out, (a,), backprop)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Scalar product of two equal-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"dot: {a.shape} vs {b.shape}")
-    return sum_all(mul(a, b))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -590,22 +554,6 @@ def gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
                    backprop)
 
 
-def gru_run(xs, p: GruParams, h0: Tensor | None = None) -> Tensor:
-    """Run the cell over a sequence of row tensors; returns the last hidden state.
-
-    An empty sequence yields the (zero) initial state.
-    """
-    xs = list(xs)
-    if h0 is None:
-        width = p.uz.shape[0]
-        rows = xs[0].shape[0] if xs else 1
-        h0 = constant(np.zeros((rows, width)))
-    h = h0
-    for x in xs:
-        h = gru_cell(x, h, p)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # parameter registry, Adam, gradient checking
 # ---------------------------------------------------------------------------
@@ -680,9 +628,10 @@ class AdamState:
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in registry.trainable_items()}
         self._v = {name: np.zeros_like(t.data) for name, t in registry.trainable_items()}
-        # two scratch arrays per parameter, so a step allocates nothing
-        self._scratch = {name: (np.empty_like(t.data), np.empty_like(t.data))
-                         for name, t in registry.trainable_items()}
+        # one scratch pair sized to the largest parameter, sliced per
+        # parameter, so a step allocates nothing
+        size = max((t.data.size for _, t in registry.trainable_items()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, registry: ParamRegistry, eta: float) -> None:
         """Apply one update to all trainable parameters, then zero gradients.
@@ -698,7 +647,7 @@ class AdamState:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            step, denom = self._scratch[name]
+            step, denom = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
             m *= self.beta1
             np.multiply(1.0 - self.beta1, g, out=step)
             m += step

@@ -80,18 +80,16 @@ class FastScorer:
         self.stage = self.model.item_stage(contexts)
         self.items = np.arange(len(contexts.entities))
 
-    def all_item_q(self, user: int) -> Tensor:
-        """Contextualized representation of every item for this user: (I, 2d)."""
-        q, _ = self.model.user_stage(self.stage, np.full(len(self.items), user),
-                                     self.items)
-        return q
+    def all_item_q(self, user: int) -> tuple[Tensor, Tensor]:
+        """Every item's q halves for this user: entity rows and fused context
+        rows, each (I, d)."""
+        return self.model.user_stage(self.stage, np.full(len(self.items), user),
+                                     self.items)[:2]
 
     def user_scores(self, user: int, history_items) -> np.ndarray:
         """Preference score of this user for every item: shape (I,)."""
-        q = self.all_item_q(user)
-        q_hist = ad.gather_rows(q, history_items) if len(history_items) else None
-        p_u = self.model.interaction_context_rows(user, q, q_hist)
-        return ad.row_sums(ad.mul(p_u, q)).data[:, 0]
+        e_h, fused = self.all_item_q(user)
+        return self.model.shared_history_scores(user, e_h, fused, history_items).data[:, 0]
 
 
 def rank_items(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:

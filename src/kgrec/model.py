@@ -116,14 +116,15 @@ class ItemInputs:
 class ItemStage:
     """The user-free half of the item representation, one row per item.
 
-    ``feat`` and ``e_t`` hold S rows per item (neighbor k of item u is row
+    ``feat`` and ``tails`` hold S rows per item (neighbor k of item u is row
     u * S + k) and are None when the local context is off; ``c_nonlocal`` is
     None when the non-local context is off.
     """
 
     e_h: Tensor                 # (U, d) entity rows
+    p_h: Tensor                 # (U, d) entity half of the aggregate, e_h agg_W[:d] + agg_b
     feat: Tensor | None         # (U*S, d) neighbor attention features
-    e_t: Tensor | None          # (U*S, d) neighbor tail rows
+    tails: Tensor | None        # (U*S, d) tail half of the aggregate, e_t agg_W[d:]
     c_nonlocal: Tensor | None   # (U, d) non-local aggregate
     local_size: int             # S
 
@@ -179,6 +180,10 @@ class GraphContextModel:
             return "local"
         return None
 
+    def _weight_rows(self, name: str, start: int, stop: int) -> Tensor:
+        """Rows start..stop-1 of a weight: the block one input half multiplies."""
+        return ad.gather_rows(self.params[name], np.arange(start, stop))
+
     def _user_preferences(self, users) -> Tensor:
         """m_u per user; the all-ones vector when user attention is disabled."""
         if self.cfg.disable_user_attention:
@@ -193,56 +198,60 @@ class GraphContextModel:
         e_rt = ad.matmul(ad.hstack(e_r, e_t), self.params["rel_fuse_W"])
         return e_rt, e_t
 
-    def _aggregate(self, e_h: Tensor, context: Tensor) -> Tensor:
-        return ad.tanh(ad.affine(ad.hstack(e_h, context),
-                                 self.params["agg_W"], self.params["agg_b"]))
+    def _neighbor_rows(self, e_h: Tensor, items: ItemInputs,
+                       w_context: Tensor) -> tuple[Tensor, Tensor]:
+        """Attention features and tail rows times agg_W[d:] of every item's S
+        neighbors, (U*S, d) each; the raw rows die on return."""
+        e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
+        feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, items.rels.shape[1]), e_rt),
+                                 self.params["attn_W"], self.params["attn_b"]))
+        return feat, ad.matmul(e_t, w_context)
 
-    def _nonlocal_items(self, e_h: Tensor, items: ItemInputs) -> Tensor:
-        h = ad.constant(np.zeros((e_h.shape[0], self.cfg.dim)))
+    def _walk_state(self, items: ItemInputs) -> Tensor:
+        """The GRU's last state over every item's reversed walk context, (U, d)."""
+        h = ad.constant(np.zeros((len(items.entities), self.cfg.dim)))
         for step in range(items.ctx_rev.shape[1]):
             x = ad.gather_rows(self.params["entity_emb"], items.ctx_rev[:, step])
             h_next = ad.gru_cell(x, h, self.gru)
             # items past their context length keep the previous state
             h = ad.elementwise_gate(ad.constant(items.ctx_mask[:, step:step + 1]),
                                     h_next, h)
-        return self._aggregate(e_h, h)
+        return h
 
     def item_stage(self, items: ItemInputs, force: str | None = None) -> ItemStage:
         """The user-free half of every item's representation, once per item:
-        entity rows, fused neighbor rows and attention features, and the
-        walk-context GRU with its non-local aggregate."""
+        entity rows, neighbor rows, and the walk-context GRU with its non-local
+        aggregate.  Both aggregates, tanh([e_h, context] agg_W + agg_b), run
+        as tanh(P_h + context agg_W[d:])."""
         mode = self._resolve_force(force)
-        s = items.rels.shape[1]
+        s, d = items.rels.shape[1], self.cfg.dim
         e_h = ad.gather_rows(self.params["entity_emb"], items.entities)
-        feat = e_t = c_nonlocal = None
+        p_h = ad.affine(e_h, self._weight_rows("agg_W", 0, d), self.params["agg_b"])
+        w_context = self._weight_rows("agg_W", d, 2 * d)
+        feat = tails = c_nonlocal = None
         if mode != "nonlocal":
-            e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
-            feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, s), e_rt),
-                                     self.params["attn_W"], self.params["attn_b"]))
+            feat, tails = self._neighbor_rows(e_h, items, w_context)
         if mode != "local":
-            c_nonlocal = self._nonlocal_items(e_h, items)
-        return ItemStage(e_h, feat, e_t, c_nonlocal, s)
+            c_nonlocal = ad.tanh(ad.add(p_h, ad.matmul(self._walk_state(items), w_context)))
+        return ItemStage(e_h, p_h, feat, tails, c_nonlocal, s)
 
     def user_stage(self, stage: ItemStage, user_rows,
-                   row_items) -> tuple[Tensor, Tensor | None]:
-        """Contextualized q rows (R, 2d) = entity embedding || fused context,
-        and the neighbor attention (R, S), None when the local context is off.
-
-        Row r is user ``user_rows[r]`` with item ``row_items[r]`` of the
+                   row_items) -> tuple[Tensor, Tensor, Tensor | None]:
+        """The halves of the q rows, entity rows (R, d) and fused context rows
+        (R, d), and the neighbor attention (R, S), None when the local context
+        is off.  Row r is user ``user_rows[r]`` with item ``row_items[r]`` of the
         stage.  ``m_u`` runs once per distinct user; the neighbor softmax, the
         local aggregate and the gate run per row and read the item stage by
         index.
         """
-        e_h = ad.gather_rows(stage.e_h, row_items)
         alpha = c_local = None
         if stage.feat is not None:
-            # m_u once per distinct user; the fused ops read the item stage's
-            # neighbor rows and m_u by index
             users, user_index = np.unique(user_rows, return_inverse=True)
             m = self._user_preferences(users)
             alpha = ad.neighbor_softmax(stage.feat, m, row_items, user_index,
                                         stage.local_size)
-            c_local = self._aggregate(e_h, ad.neighbor_sum(alpha, stage.e_t, row_items))
+            c_local = ad.tanh(ad.add(ad.gather_rows(stage.p_h, row_items),
+                                     ad.neighbor_sum(alpha, stage.tails, row_items)))
         if stage.c_nonlocal is None:
             fused = c_local
         else:
@@ -252,51 +261,74 @@ class GraphContextModel:
             else:
                 gate = ad.sigmoid(self.params["gate_w"])
                 fused = ad.elementwise_gate(gate, c_local, c_nonlocal)
-        return ad.hstack(e_h, fused), alpha
+        return ad.gather_rows(stage.e_h, row_items), fused, alpha
 
-    def _one_row(self, user: int, entity: int, neighbors, walk_context,
-                 force: str | None = None) -> tuple[Tensor, Tensor | None]:
-        """Both stages for a single (user, entity) row."""
-        items = ItemInputs.build([entity], [neighbors],
-                                 *reverse_pad([walk_context], len(walk_context)))
-        return self.user_stage(self.item_stage(items, force=force), np.array([user]),
-                               np.zeros(1, dtype=np.int64))
+    def _rows_for(self, user: int, entities, contexts,
+                  force: str | None = None) -> tuple[Tensor, Tensor, Tensor | None]:
+        """Both stages for one user over items with these ItemContexts, a row each."""
+        walks = [c.walk_context for c in contexts]
+        items = ItemInputs.build(entities, [c.neighbors for c in contexts],
+                                 *reverse_pad(walks, max(map(len, walks))))
+        rows = np.arange(len(contexts))
+        return self.user_stage(self.item_stage(items, force=force),
+                               np.full(len(rows), user), rows)
 
     # -- the history head ----------------------------------------------------
+    # Each affine over a concatenation runs as one product per half (w1..w4:
+    # d-wide blocks of hist_attn_w; W_u, W_he, W_hf: d-row blocks of user_agg_W):
+    #   score = e_u·e_h + c_u·fused,  c_u = relu(e_u W_u + b_u + sum_j beta_j V_j),
+    #   V_j = e_h,j W_he + fused_j W_hf,  beta = softmax(tanh(a_t + h + b)),
+    #   a_t = e_h w1ᵀ + fused w2ᵀ,  h_j = e_h,j w3ᵀ + fused_j w4ᵀ.
 
-    def _history_logits(self, q_hist: Tensor) -> Tensor:
-        """The history rows' half of the attention logits, (H, 1)."""
-        d2 = 2 * self.cfg.dim
-        w = ad.slice_cols(self.params["hist_attn_w"], d2, 2 * d2)
-        return ad.matmul(q_hist, ad.transpose(w))
+    def _attn_logits(self, e_h: Tensor, fused: Tensor, block: int) -> Tensor:
+        """e_h w_blockᵀ + fused w_(block+1)ᵀ, (R, 1); block 0 is a_t, block 2 is h."""
+        d, w = self.cfg.dim, self.params["hist_attn_w"]
+        return ad.add(
+            ad.matmul(e_h, ad.transpose(ad.slice_cols(w, block * d, (block + 1) * d))),
+            ad.matmul(fused, ad.transpose(ad.slice_cols(w, (block + 1) * d, (block + 2) * d))))
 
-    def _history_weights(self, q_targets: Tensor, hist_logits: Tensor) -> Tensor:
-        """beta = softmax(tanh(a_t + h + b)) over history items, (T, N); the
-        history logits ``h`` are (T, N), or (1, N) when every target shares
-        one history."""
-        w = ad.slice_cols(self.params["hist_attn_w"], 0, 2 * self.cfg.dim)
-        a_t = ad.matmul(q_targets, ad.transpose(w))
-        return ad.softmax_rows(ad.tanh(ad.add(ad.add(a_t, hist_logits),
+    def _user_rows(self, users) -> tuple[Tensor, Tensor]:
+        """(e_u, e_u W_u + b_u), one row per user."""
+        e_u = ad.gather_rows(self.params["user_emb"], users)
+        w_u = self._weight_rows("user_agg_W", 0, self.cfg.dim)
+        return e_u, ad.affine(e_u, w_u, self.params["user_agg_b"])
+
+    def _history(self, e_h: Tensor, fused: Tensor, rows, n: int) -> tuple[Tensor, Tensor]:
+        """Logits h (H/n, n) of the H history ``rows`` in groups of n, and
+        their value rows V (H, d)."""
+        d = self.cfg.dim
+        e_h, fused = ad.gather_rows(e_h, rows), ad.gather_rows(fused, rows)
+        logits = ad.reshape(self._attn_logits(e_h, fused, 2), e_h.shape[0] // n, n)
+        return logits, ad.add(ad.matmul(e_h, self._weight_rows("user_agg_W", d, 2 * d)),
+                              ad.matmul(fused, self._weight_rows("user_agg_W", 2 * d, 3 * d)))
+
+    def _attention(self, e_t: Tensor, f_t: Tensor, logits: Tensor) -> Tensor:
+        """beta (T, n); ``logits`` are (T, n), or (1, n) for one shared history."""
+        return ad.softmax_rows(ad.tanh(ad.add(ad.add(self._attn_logits(e_t, f_t, 0), logits),
                                               self.params["hist_attn_b"])))
 
-    def _user_vector(self, e_u: Tensor, e_hist: Tensor) -> Tensor:
-        """p_u = e_u || relu([e_u, e_hist] W + b), one row per target."""
-        c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), self.params["user_agg_W"],
-                                self.params["user_agg_b"]))
-        return ad.hstack(e_u, c_u)
+    def _head(self, user, e_t: Tensor, f_t: Tensor, history,
+              mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """(score (T, 1), c_u) of T targets.  ``user`` is from ``_user_rows``
+        (one row per target, or one for all), ``history`` from ``_history``
+        (None when empty), and ``mask`` (T, 1) zeroes empty histories."""
+        e_u, pre = user
+        if history is not None:
+            logits, values = history
+            beta = self._attention(e_t, f_t, logits)
+            t, n = beta.shape
+            context = (ad.matmul(beta, values) if logits.shape[0] == 1 else
+                       ad.sum_row_groups(ad.mul(ad.reshape(beta, t * n, 1), values), n))
+            pre = ad.add(pre, context if mask is None else ad.mul(context, mask))
+        c_u = ad.relu(pre)
+        return ad.add(ad.row_sums(ad.mul(e_u, e_t)), ad.row_sums(ad.mul(c_u, f_t))), c_u
 
-    def interaction_context_rows(self, user: int, q_targets: Tensor,
-                             q_hist: Tensor | None) -> Tensor:
-        """p_u (T, 2d) of one user against T targets that share the history
-        rows ``q_hist`` (N, 2d); None stands for an empty history."""
-        rows = q_targets.shape[0]
-        e_u = ad.gather_rows(self.params["user_emb"], np.full(rows, user))
-        if q_hist is None:
-            e_hist = ad.constant(np.zeros((rows, 2 * self.cfg.dim)))
-        else:
-            h = ad.reshape(self._history_logits(q_hist), 1, q_hist.shape[0])
-            e_hist = ad.matmul(self._history_weights(q_targets, h), q_hist)
-        return self._user_vector(e_u, e_hist)
+    def shared_history_scores(self, user: int, e_h: Tensor, fused: Tensor,
+                              history) -> Tensor:
+        """Scores (R, 1) of one user for every row of the halves (e_h, fused),
+        all against their rows ``history`` (indices; empty for no history)."""
+        hist = self._history(e_h, fused, history, len(history)) if len(history) else None
+        return self._head(self._user_rows([user]), e_h, fused, hist)[0]
 
     # -- single-instance operations ----------------------------------------
 
@@ -310,7 +342,7 @@ class GraphContextModel:
         """Attention probabilities (1, S) over sampled neighbors for one user."""
         if not neighbors:
             raise InputError("user_attention needs at least one sampled neighbor")
-        return self._one_row(user, entity, neighbors, (), force="local")[1]
+        return self._rows_for(user, [entity], [ItemContext(neighbors, ())], force="local")[2]
 
     def local_embedding(self, user: int, entity: int, neighbors) -> Tensor:
         return self.kg_context(user, entity, neighbors, (), force="local")
@@ -322,39 +354,45 @@ class GraphContextModel:
     def kg_context(self, user: int, entity: int, neighbors, walk_context,
                    force: str | None = None) -> Tensor:
         """Gated fusion of the local and non-local context embeddings (1, d)."""
-        q, _ = self._one_row(user, entity, neighbors, walk_context, force=force)
-        return ad.slice_cols(q, self.cfg.dim, 2 * self.cfg.dim)
+        return self._rows_for(user, [entity], [ItemContext(neighbors, walk_context)],
+                              force=force)[1]
 
     def contextualized_item(self, user: int, item: int, context: ItemContext,
                             force: str | None = None) -> Tensor:
         """q_i = item entity embedding || fused context embedding, shape (1, 2d)."""
-        q, _ = self._one_row(user, self.item_entities[item], context.neighbors,
-                             context.walk_context, force=force)
-        return q
+        e_h, fused, _ = self._rows_for(user, [self.item_entities[item]], [context],
+                                       force=force)
+        return ad.hstack(e_h, fused)
 
-    def _stack(self, history_qs) -> Tensor:
-        return ad.reshape(ad.hstack(history_qs), len(history_qs), 2 * self.cfg.dim)
+    def _halves(self, qs) -> tuple[Tensor, Tensor]:
+        """(entity rows, fused rows) of a list of (1, 2d) q rows."""
+        d = self.cfg.dim
+        q = ad.reshape(ad.hstack(qs), len(qs), 2 * d)
+        return ad.slice_cols(q, 0, d), ad.slice_cols(q, d, 2 * d)
 
     def history_attention(self, q_target: Tensor, history_qs) -> Tensor:
         """Relevance probabilities (1, N) of history items for one target."""
-        q_hist = self._stack(history_qs)
-        h = ad.reshape(self._history_logits(q_hist), 1, len(history_qs))
-        return self._history_weights(q_target, h)
+        n = len(history_qs)
+        logits, _ = self._history(*self._halves(history_qs), np.arange(n), n)
+        return self._attention(*self._halves([q_target]), logits)
 
     def interaction_context(self, user: int, q_target: Tensor,
                             history_qs) -> Tensor:
         """p_u = user embedding || aggregated history context, shape (1, 2d)."""
-        q_hist = self._stack(history_qs) if history_qs else None
-        return self.interaction_context_rows(user, q_target, q_hist)
+        n = len(history_qs)
+        hist = self._history(*self._halves(history_qs), np.arange(n), n) if n else None
+        u = self._user_rows([user])
+        return ad.hstack(u[0], self._head(u, *self._halves([q_target]), hist)[1])
 
     def score(self, user: int, item: int, ctx: ScoreContext,
               force: str | None = None) -> Tensor:
-        """Preference score, shape (1, 1)."""
-        q_i = self.contextualized_item(user, item, ctx.target, force=force)
-        history_qs = [self.contextualized_item(user, j, jctx, force=force)
-                      for j, jctx in ctx.history]
-        p_u = self.interaction_context(user, q_i, history_qs)
-        return ad.dot(p_u, q_i)
+        """Preference score, shape (1, 1): the target is row 0 of one pass
+        over the target and history items."""
+        items = [item] + [j for j, _ in ctx.history]
+        contexts = [ctx.target] + [c for _, c in ctx.history]
+        e_h, fused, _ = self._rows_for(user, self.item_entities[items], contexts, force=force)
+        scores = self.shared_history_scores(user, e_h, fused, np.arange(1, len(items)))
+        return ad.gather_rows(scores, [0])
 
     # -- batched scoring for training ----------------------------------------
 
@@ -362,18 +400,14 @@ class GraphContextModel:
         """Scores for every target block; returns ``n_targets`` (B, 1) tensors."""
         b, n, k = batch.size, batch.history_size, batch.n_targets
         stage = self.item_stage(batch.items, force=force)
-        q, _ = self.user_stage(stage, batch.user_rows, batch.row_items)
-        # tuple t's history is rows t*n .. t*n+n-1 of q_hist
-        q_hist = ad.gather_rows(q, np.arange(k * b, k * b + b * n))
-        hist_logits = ad.reshape(self._history_logits(q_hist), b, n)
-        e_u = ad.gather_rows(self.params["user_emb"], batch.tuple_users)
+        e_h, fused, _ = self.user_stage(stage, batch.user_rows, batch.row_items)
+        # tuple t's history is rows t*n .. t*n+n-1 of the trailing B*N rows
+        history = self._history(e_h, fused, np.arange(k * b, k * b + b * n), n)
+        user = self._user_rows(batch.tuple_users)
         mask = ad.constant(batch.history_mask)
         outputs = []
         for block in range(k):
-            q_t = ad.gather_rows(q, np.arange(block * b, (block + 1) * b))
-            beta = self._history_weights(q_t, hist_logits)
-            weighted = ad.mul(ad.reshape(beta, b * n, 1), q_hist)
-            e_hist = ad.mul(ad.sum_row_groups(weighted, n), mask)
-            p_u = self._user_vector(e_u, e_hist)
-            outputs.append(ad.row_sums(ad.mul(p_u, q_t)))
+            rows = np.arange(block * b, (block + 1) * b)
+            e_t, f_t = ad.gather_rows(e_h, rows), ad.gather_rows(fused, rows)
+            outputs.append(self._head(user, e_t, f_t, history, mask)[0])
         return outputs

@@ -2,7 +2,18 @@
 
 import numpy as np
 
+from kgrec import autodiff as ad
 from kgrec.graph import InteractionStore, KnowledgeGraph, Triple
+
+
+def gru_run(xs, p):
+    """The GRU cell over a sequence of row tensors from a zero state; returns
+    the last hidden state, the zero state itself for an empty sequence."""
+    xs = list(xs)
+    h = ad.constant(np.zeros((xs[0].shape[0] if xs else 1, p.uz.shape[0])))
+    for x in xs:
+        h = ad.gru_cell(x, h, p)
+    return h
 
 
 def random_kg(rng, n_entities=None, n_relations=None, n_triples=None):

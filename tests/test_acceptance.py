@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kgrec import autodiff as ad
-from kgrec.autodiff import AdamState, finite_difference_check, gru_run
+from kgrec.autodiff import AdamState, finite_difference_check
 from kgrec.cli import main
 from kgrec.evaluation import EvalConfig, evaluate, metrics_for_user
 from kgrec.graph import KnowledgeGraph, Triple
@@ -67,7 +67,6 @@ def test_c1_gradient_suite():
                  {"s": (1, 4), "a": (3, 4), "b": (3, 4)}),
         "affine": (lambda r: ad.affine(r["x"], r["w"], r["b"]),
                    {"x": (2, 3), "w": (3, 4), "b": (1, 4)}),
-        "dot": (lambda r: ad.dot(r["a"], r["b"]), {"a": (1, 5), "b": (1, 5)}),
         "square": (lambda r: ad.square(r["a"]), {"a": (2, 4)}),
         # fused ops; rows repeat items (2, 0) and users (0, 1)
         "neighbor_softmax": (
@@ -101,7 +100,7 @@ def test_c1_gradient_suite():
         reg.register("x1", rng.normal(size=(1, 3)))
         gru = ad.GruParams(*(reg[n] for n in gru_names))
         err = finite_difference_check(
-            lambda: ad.sum_all(gru_run([reg["x0"], reg["x1"]], gru)),
+            lambda: ad.sum_all(synth.gru_run([reg["x0"], reg["x1"]], gru)),
             reg, eps=1e-5, max_coords=4, rng=rng)
         worst = max(worst, err)
         assert err < 1e-4, f"gru: {err}"

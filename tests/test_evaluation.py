@@ -91,7 +91,9 @@ def test_fast_scorer_matches_tape_scorer(flags):
                              substream(1, "eval-history"))
     grads = {name: t.grad.copy() for name, t, _ in params.items()}
     scores = scorer.user_scores(user, history)
-    assert scorer.all_item_q(user).requires_grad is False
+    halves = scorer.all_item_q(user)
+    assert len(halves) == 2
+    assert all(t.requires_grad is False for t in halves)
     for name, t, _ in params.items():
         np.testing.assert_array_equal(t.grad, grads[name], err_msg=name)
 

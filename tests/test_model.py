@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kgrec import autodiff as ad
-from kgrec.autodiff import finite_difference_check, gru_run
+from kgrec.autodiff import finite_difference_check
+from kgrec.evaluation import FastScorer
 from kgrec.graph import InputError
 from kgrec.model import (GraphContextModel, ItemContext, ItemInputs, ModelConfig,
                          PairBatch, ScoreContext)
@@ -155,7 +156,7 @@ def test_nonlocal_consumes_context_in_reverse():
     got = model.nonlocal_embedding(1, ctx).data
     ent = params["entity_emb"]
     xs = [ad.gather_rows(ent, [7]), ad.gather_rows(ent, [3])]  # reversed feed
-    h = gru_run(xs, model.gru)
+    h = synth.gru_run(xs, model.gru)
     expected = ad.tanh(ad.affine(ad.hstack(ad.gather_rows(ent, [1]), h),
                                  params["agg_W"], params["agg_b"])).data
     np.testing.assert_allclose(got, expected, atol=1e-14)
@@ -416,3 +417,127 @@ def test_objective_gradient_on_batch_with_repeated_items():
 
     err = finite_difference_check(f, params, eps=1e-5, max_coords=10, rng=rng)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the split affines equal the concatenated forward
+# ---------------------------------------------------------------------------
+
+
+def _concat_q(model, items, user_rows, row_items, force=None):
+    """q rows (R, 2d) as the concatenated forward builds them: each aggregate
+    is tanh([e_h, context] agg_W + agg_b) over a per-row hstack, and
+    q = e_h || fused.  Only the item stage's neighbor features are reused."""
+    p = model.params
+    stage = model.item_stage(items, force=force)
+
+    def aggregate(e, context):
+        return ad.tanh(ad.affine(ad.hstack(e, context), p["agg_W"], p["agg_b"]))
+
+    e_h = ad.gather_rows(p["entity_emb"], items.entities)
+    e_rows = ad.gather_rows(e_h, row_items)
+    fused = None
+    if stage.feat is not None:
+        users, index = np.unique(user_rows, return_inverse=True)
+        alpha = ad.neighbor_softmax(stage.feat, model._user_preferences(users), row_items,
+                                    index, stage.local_size)
+        e_t = ad.gather_rows(p["entity_emb"], items.tails.ravel())
+        fused = aggregate(e_rows, ad.neighbor_sum(alpha, e_t, row_items))
+    if stage.c_nonlocal is not None:
+        h = ad.constant(np.zeros(e_h.shape))
+        for step in range(items.ctx_rev.shape[1]):
+            x = ad.gather_rows(p["entity_emb"], items.ctx_rev[:, step])
+            h = ad.elementwise_gate(ad.constant(items.ctx_mask[:, step:step + 1]),
+                                    ad.gru_cell(x, h, model.gru), h)
+        c_nonlocal = ad.gather_rows(aggregate(e_h, h), row_items)
+        fused = c_nonlocal if fused is None else ad.elementwise_gate(
+            ad.sigmoid(p["gate_w"]), fused, c_nonlocal)
+    return ad.hstack(e_rows, fused)
+
+
+def _concat_head(model, users, q_t, q_hist, n, mask=None):
+    """Scores (T, 1) of the concatenated head: beta from [a_t, h] = q w,
+    e_hist = sum_j beta_j q_j, c_u = relu([e_u, e_hist] W + b) and
+    score = (e_u || c_u)·q.  ``q_hist`` holds one shared history of n rows,
+    or n rows per target when ``mask`` is given; None means no history."""
+    p, d2 = model.params, 2 * model.cfg.dim
+    w = p["hist_attn_w"]
+    e_u = ad.gather_rows(p["user_emb"], users)
+    t = q_t.shape[0]
+    if q_hist is None:
+        e_hist = ad.constant(np.zeros((t, d2)))
+    else:
+        h = ad.reshape(ad.matmul(q_hist, ad.transpose(ad.slice_cols(w, d2, 2 * d2))),
+                       q_hist.shape[0] // n, n)
+        a_t = ad.matmul(q_t, ad.transpose(ad.slice_cols(w, 0, d2)))
+        beta = ad.softmax_rows(ad.tanh(ad.add(ad.add(a_t, h), p["hist_attn_b"])))
+        if mask is None:
+            e_hist = ad.matmul(beta, q_hist)
+        else:
+            weighted = ad.mul(ad.reshape(beta, t * n, 1), q_hist)
+            e_hist = ad.mul(ad.sum_row_groups(weighted, n), mask)
+    c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), p["user_agg_W"], p["user_agg_b"]))
+    return ad.row_sums(ad.mul(ad.hstack(e_u, c_u), q_t))
+
+
+def _concat_batch_scores(model, batch):
+    b, n, k = batch.size, batch.history_size, batch.n_targets
+    q = _concat_q(model, batch.items, batch.user_rows, batch.row_items)
+    q_hist = ad.gather_rows(q, np.arange(k * b, k * b + b * n))
+    mask = ad.constant(batch.history_mask)
+    return [_concat_head(model, batch.tuple_users,
+                         ad.gather_rows(q, np.arange(j * b, (j + 1) * b)), q_hist, n, mask)
+            for j in range(k)]
+
+
+def _concat_user_scores(model, items, user, history):
+    rows = np.arange(len(items.entities))
+    users = np.full(len(rows), user)
+    q = _concat_q(model, items, users, rows)
+    q_hist = ad.gather_rows(q, history) if len(history) else None
+    return _concat_head(model, users, q, q_hist, max(len(history), 1)).data[:, 0]
+
+
+_FLAG_CASES = [{}, {"disable_local": True}, {"disable_nonlocal": True},
+               {"disable_user_attention": True}]
+
+
+def _split_world(flags, seed):
+    rng = np.random.default_rng(seed)
+    kg, model, params, cfg, items = synth.random_model_setup(
+        rng, n_items=8, dim=4, scale=3.0, **flags)
+    contexts = {item: synth.random_item_context(rng, kg, cfg.local_size)
+                for item in range(8)}
+    batch = _repeated_item_batch(model, contexts, _REPEAT_TUPLES, _REPEAT_HISTORIES)
+    return kg, model, params, contexts, batch
+
+
+@pytest.mark.parametrize("flags", _FLAG_CASES)
+def test_split_scores_match_the_concatenated_forward(flags):
+    kg, model, params, contexts, batch = _split_world(flags, 28)
+    for got, want in zip(model.scores_batch(batch), _concat_batch_scores(model, batch)):
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    ctx_rev, ctx_mask = reverse_pad([contexts[i][1] for i in range(8)], 3)
+    inputs = ItemInputs.build(model.item_entities, [contexts[i][0] for i in range(8)],
+                              ctx_rev, ctx_mask)
+    scorer = FastScorer(params, model.cfg, model.item_entities, inputs)
+    for user, history in ((0, [5, 3, 5]), (3, [1]), (2, [])):
+        np.testing.assert_allclose(scorer.user_scores(user, history),
+                                   _concat_user_scores(model, inputs, user, history),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flags", _FLAG_CASES)
+def test_split_gradients_match_the_concatenated_forward(flags):
+    kg, model, params, contexts, batch = _split_world(flags, 29)
+    quads = sample_kg_negatives(kg, substream(5, "kg"))[:4]
+    tcfg = TrainConfig(lambda1=0.5, lambda2=0.1)
+    grads = []
+    for scores in (model.scores_batch, lambda b: _concat_batch_scores(model, b)):
+        params.zero_grads()
+        y_pos, y_neg = scores(batch)
+        total_objective(model, y_pos, y_neg, quads, tcfg)[0].backward()
+        grads.append({name: t.grad.copy() for name, t in params.trainable_items()})
+    for name, grad in grads[0].items():
+        np.testing.assert_allclose(grad, grads[1][name], rtol=0, atol=1e-12, err_msg=name)
