@@ -600,14 +600,17 @@ class ParamRegistry:
                 t.grad.fill(0.0)
 
     def l2_penalty(self) -> Tensor:
-        """Sum of squared entries over every trainable tensor, on the tape."""
-        total: Tensor | None = None
-        for _, t in self.trainable_items():
-            term = sum_all(square(t))
-            total = term if total is None else add(total, term)
-        if total is None:
-            return constant(0.0)
-        return total
+        """Sum of squared entries over every trainable tensor, as one tape
+        node: its backward adds 2 g θ into each tensor's gradient."""
+        params = tuple(t for _, t in self.trainable_items())
+        out = Tensor(sum(np.vdot(t.data, t.data) for t in params), op="l2_penalty")
+
+        def backprop():
+            scale = 2.0 * out.grad[0, 0]
+            for t in params:
+                _accum(t, scale * t.data, owned=True)
+
+        return _finish(out, params, backprop)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, (t, _) in self._entries.items()}

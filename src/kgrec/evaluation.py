@@ -59,9 +59,9 @@ class ItemContextSet:
               local_size: int, rng: np.random.Generator) -> ItemInputs:
         """Neighbors drawn for items 0..I-1 in order, and every item's walk
         context."""
-        neighbors = [sample_local_neighbors(kg, int(entity), local_size, rng)
-                     for entity in item_entities]
-        return ItemInputs.build(item_entities, neighbors, *cache.padded_contexts)
+        entities = np.asarray(item_entities, dtype=np.int64)
+        rels, tails = sample_local_neighbors(kg, entities, local_size, rng)
+        return ItemInputs(entities, rels, tails, *cache.padded_contexts)
 
 
 class FastScorer:
@@ -144,14 +144,13 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     rng_hist = substream(seed, "eval-history")
     rng_sampled = substream(seed, "eval-candidates")
 
+    users = [user for user in range(store.user_count) if store.positives(user, split)]
+    histories, has_history = sample_history(store, users, None, model_cfg.history_size,
+                                            rng_hist)
     totals = {k: np.zeros(3) for k in cfg.k_values}
-    evaluated = 0
-    for user in range(store.user_count):
+    for user, history, nonempty in zip(users, histories, has_history):
         positives = store.positive_list(user, split)
-        if not positives:
-            continue
-        history = sample_history(store, user, None, model_cfg.history_size, rng_hist)
-        scores = scorer.user_scores(user, history)
+        scores = scorer.user_scores(user, history if nonempty else [])
         if cfg.policy == "full":
             ranked = rank_items(scores, _candidates_for(store, user, split, cfg))
             per_user = {k: metrics_for_user(ranked, positives, k)
@@ -161,14 +160,13 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
                                                   cfg, rng_sampled)
         for k in cfg.k_values:
             totals[k] += np.array(per_user[k])
-        evaluated += 1
 
     metrics = {}
     for k in cfg.k_values:
-        avg = totals[k] / evaluated if evaluated else np.zeros(3)
+        avg = totals[k] / len(users) if users else np.zeros(3)
         metrics[k] = {"precision": float(avg[0]), "recall": float(avg[1]),
                       "hit_ratio": float(avg[2])}
-    return EvalReport(split=split, metrics=metrics, users_evaluated=evaluated,
+    return EvalReport(split=split, metrics=metrics, users_evaluated=len(users),
                       seconds=time.perf_counter() - started)
 
 

@@ -71,6 +71,14 @@ class IdMaps:
         return maps
 
 
+def _run_starts(*columns) -> np.ndarray:
+    """True for each row of the sorted columns that differs from the row
+    before it."""
+    starts = np.ones(len(columns[0]), dtype=bool)
+    starts[1:] = np.any([np.diff(c) != 0 for c in columns], axis=0)
+    return starts
+
+
 @dataclass(frozen=True)
 class Triple:
     head: int
@@ -91,28 +99,45 @@ class KnowledgeGraph:
         self.entity_count = int(entity_count)
         self.original_relation_count = int(original_relation_count)
         self.relation_count = 2 * self.original_relation_count
-        seen = set()
-        kept = []
-        for t in triples:
-            if not (0 <= t.head < entity_count and 0 <= t.tail < entity_count
-                    and 0 <= t.relation < original_relation_count):
-                raise InputError(f"triple {t} out of range")
-            key = (t.head, t.relation, t.tail)
-            if key not in seen:
-                seen.add(key)
-                kept.append(t)
-        self.triples = kept
+        triples = list(triples)
+        n = len(triples)
+        h = np.fromiter((x.head for x in triples), dtype=np.int64, count=n)
+        r = np.fromiter((x.relation for x in triples), dtype=np.int64, count=n)
+        t = np.fromiter((x.tail for x in triples), dtype=np.int64, count=n)
+        bad = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= self.entity_count) \
+            | (r < 0) | (r >= self.original_relation_count)
+        if bad.any():
+            raise InputError(f"triple {triples[int(np.argmax(bad))]} out of range")
+        # the first of every run of equal triples, in input order (lexsort is stable)
+        order = np.lexsort((t, r, h))
+        kept = np.sort(order[_run_starts(h[order], r[order], t[order])])
+        self.triples = [triples[j] for j in kept.tolist()]
 
-        adjacency = [set() for _ in range(self.entity_count)]
-        for t in self.triples:
-            adjacency[t.head].add((t.relation, t.tail))
-            adjacency[t.tail].add((self.inverse(t.relation), t.head))
-        self.adjacency = [sorted(pairs) for pairs in adjacency]
-        self.neighbor_entities = [
-            np.unique(np.fromiter((t for _, t in pairs), dtype=np.int64, count=len(pairs)))
-            for pairs in self.adjacency
-        ]
-        self._neighbor_sets = [set(arr.tolist()) for arr in self.neighbor_entities]
+        # CSR adjacency over both edge directions: entity e's (relation, tail)
+        # pairs are edge_relations/edge_tails[edge_offsets[e]:edge_offsets[e+1]],
+        # sorted by (relation, tail); its distinct neighbor entities are
+        # neighbor_entities[neighbor_offsets[e]:neighbor_offsets[e+1]], ascending
+        h, r, t = h[kept], r[kept], t[kept]
+        heads = np.concatenate([h, t])
+        rels = np.concatenate([r, r + self.original_relation_count])
+        tails = np.concatenate([t, h])
+        order = np.lexsort((tails, rels, heads))
+        self.edge_offsets = self._offsets(heads)
+        self.edge_relations = rels[order]
+        self.edge_tails = tails[order]
+        order = np.lexsort((tails, heads))
+        heads, tails = heads[order], tails[order]
+        distinct = _run_starts(heads, tails)
+        self.neighbor_offsets = self._offsets(heads[distinct])
+        self.neighbor_entities = tails[distinct]
+        flat = self.neighbor_entities.tolist()
+        bounds = self.neighbor_offsets.tolist()
+        self._neighbor_sets = [set(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _offsets(self, heads: np.ndarray) -> np.ndarray:
+        """(entity_count + 1,) CSR offsets of rows grouped by ascending head."""
+        counts = np.bincount(heads, minlength=self.entity_count)
+        return np.concatenate([[0], np.cumsum(counts)])
 
     def inverse(self, relation: int) -> int:
         if not 0 <= relation < self.original_relation_count:
@@ -128,11 +153,15 @@ class KnowledgeGraph:
         return self.relation_count + 1
 
     def local_context(self, entity: int) -> list:
-        """All (relation, tail) neighbors of ``entity``, both edge directions."""
-        return list(self.adjacency[entity])
+        """All (relation, tail) neighbors of ``entity``, both edge directions,
+        sorted."""
+        a, b = self.edge_offsets[entity], self.edge_offsets[entity + 1]
+        return list(zip(self.edge_relations[a:b].tolist(), self.edge_tails[a:b].tolist()))
 
     def neighbors_of(self, entity: int) -> np.ndarray:
-        return self.neighbor_entities[entity]
+        """The distinct neighbor entities of ``entity``, ascending."""
+        return self.neighbor_entities[self.neighbor_offsets[entity]:
+                                      self.neighbor_offsets[entity + 1]]
 
     def is_neighbor(self, entity: int, other: int) -> bool:
         return other in self._neighbor_sets[entity]
@@ -158,6 +187,13 @@ class InteractionStore:
                     raise InputError(f"interaction ({u}, {i}) appears in two splits")
                 seen.add((u, i))
                 self._user_pos[split][u].add(i)
+        # CSR of the train positives: user u's items, ascending, are
+        # train_items[train_offsets[u]:train_offsets[u+1]]
+        train = np.array(self._pairs["train"], dtype=np.int64).reshape(-1, 2)
+        self._train_keys = np.sort(train[:, 0] * self.item_count + train[:, 1])
+        self.train_offsets = np.searchsorted(
+            self._train_keys, np.arange(self.user_count + 1) * self.item_count)
+        self.train_items = self._train_keys % self.item_count
 
     @classmethod
     def unsplit(cls, pairs, user_count: int, item_count: int) -> "InteractionStore":
@@ -175,6 +211,16 @@ class InteractionStore:
 
     def positives(self, user: int, split: str) -> set:
         return self._user_pos[split][user]
+
+    def train_position(self, users, items) -> tuple[np.ndarray, np.ndarray]:
+        """Where each (user, item) pair sits in ``train_items``, or would be
+        inserted, and whether it is there."""
+        users = np.asarray(users, dtype=np.int64)
+        keys = users * self.item_count + np.asarray(items, dtype=np.int64)
+        at = np.searchsorted(self._train_keys, keys)
+        found = at < self.train_offsets[users + 1]
+        found[found] = self._train_keys[at[found]] == keys[found]
+        return at, found
 
     def positive_list(self, user: int, split: str) -> list:
         return sorted(self._user_pos[split][user])

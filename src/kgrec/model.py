@@ -81,7 +81,7 @@ def init_params(cfg: ModelConfig, n_users: int, n_entities: int,
 class ItemContext:
     """Fixed sampled inputs for one item's representation."""
 
-    neighbors: tuple        # ((relation, tail), ...) from sample_local_neighbors
+    neighbors: tuple        # ((relation, tail), ...), S sampled pairs
     walk_context: tuple     # entity ids, most-frequent first
 
 
@@ -193,18 +193,26 @@ class GraphContextModel:
                                  self.params["user_proj_b"]))
 
     def _fuse_relation_tails(self, rel_flat, tail_flat) -> tuple[Tensor, Tensor]:
-        e_r = ad.gather_rows(self.params["relation_emb"], rel_flat)
+        """(e_rt, e_t) per pair: [e_r, e_t] rel_fuse_W, with the relation half
+        run once per relation row and gathered."""
+        d = self.cfg.dim
+        relation_half = ad.matmul(self.params["relation_emb"],
+                                  self._weight_rows("rel_fuse_W", 0, d))
         e_t = ad.gather_rows(self.params["entity_emb"], tail_flat)
-        e_rt = ad.matmul(ad.hstack(e_r, e_t), self.params["rel_fuse_W"])
+        e_rt = ad.add(ad.gather_rows(relation_half, rel_flat),
+                      ad.matmul(e_t, self._weight_rows("rel_fuse_W", d, 2 * d)))
         return e_rt, e_t
 
     def _neighbor_rows(self, e_h: Tensor, items: ItemInputs,
                        w_context: Tensor) -> tuple[Tensor, Tensor]:
-        """Attention features and tail rows times agg_W[d:] of every item's S
-        neighbors, (U*S, d) each; the raw rows die on return."""
+        """Attention features tanh([e_h, e_rt] attn_W + attn_b), with the head
+        half run once per item, and tail rows times agg_W[d:], of every item's
+        S neighbors, (U*S, d) each; the raw rows die on return."""
+        d = self.cfg.dim
         e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
-        feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, items.rels.shape[1]), e_rt),
-                                 self.params["attn_W"], self.params["attn_b"]))
+        head_half = ad.affine(e_h, self._weight_rows("attn_W", 0, d), self.params["attn_b"])
+        feat = ad.tanh(ad.add(ad.repeat_rows(head_half, items.rels.shape[1]),
+                              ad.matmul(e_rt, self._weight_rows("attn_W", d, 2 * d))))
         return feat, ad.matmul(e_t, w_context)
 
     def _walk_state(self, items: ItemInputs) -> Tensor:
@@ -293,11 +301,10 @@ class GraphContextModel:
         w_u = self._weight_rows("user_agg_W", 0, self.cfg.dim)
         return e_u, ad.affine(e_u, w_u, self.params["user_agg_b"])
 
-    def _history(self, e_h: Tensor, fused: Tensor, rows, n: int) -> tuple[Tensor, Tensor]:
-        """Logits h (H/n, n) of the H history ``rows`` in groups of n, and
-        their value rows V (H, d)."""
+    def _history(self, e_h: Tensor, fused: Tensor, n: int) -> tuple[Tensor, Tensor]:
+        """Logits h (H/n, n) of H history rows (the q halves) in groups of n,
+        and their value rows V (H, d)."""
         d = self.cfg.dim
-        e_h, fused = ad.gather_rows(e_h, rows), ad.gather_rows(fused, rows)
         logits = ad.reshape(self._attn_logits(e_h, fused, 2), e_h.shape[0] // n, n)
         return logits, ad.add(ad.matmul(e_h, self._weight_rows("user_agg_W", d, 2 * d)),
                               ad.matmul(fused, self._weight_rows("user_agg_W", 2 * d, 3 * d)))
@@ -327,7 +334,10 @@ class GraphContextModel:
                               history) -> Tensor:
         """Scores (R, 1) of one user for every row of the halves (e_h, fused),
         all against their rows ``history`` (indices; empty for no history)."""
-        hist = self._history(e_h, fused, history, len(history)) if len(history) else None
+        hist = None
+        if len(history):
+            hist = self._history(ad.gather_rows(e_h, history), ad.gather_rows(fused, history),
+                                 len(history))
         return self._head(self._user_rows([user]), e_h, fused, hist)[0]
 
     # -- single-instance operations ----------------------------------------
@@ -373,14 +383,14 @@ class GraphContextModel:
     def history_attention(self, q_target: Tensor, history_qs) -> Tensor:
         """Relevance probabilities (1, N) of history items for one target."""
         n = len(history_qs)
-        logits, _ = self._history(*self._halves(history_qs), np.arange(n), n)
+        logits, _ = self._history(*self._halves(history_qs), n)
         return self._attention(*self._halves([q_target]), logits)
 
     def interaction_context(self, user: int, q_target: Tensor,
                             history_qs) -> Tensor:
         """p_u = user embedding || aggregated history context, shape (1, 2d)."""
         n = len(history_qs)
-        hist = self._history(*self._halves(history_qs), np.arange(n), n) if n else None
+        hist = self._history(*self._halves(history_qs), n) if n else None
         u = self._user_rows([user])
         return ad.hstack(u[0], self._head(u, *self._halves([q_target]), hist)[1])
 
@@ -397,17 +407,20 @@ class GraphContextModel:
     # -- batched scoring for training ----------------------------------------
 
     def scores_batch(self, batch: PairBatch, force: str | None = None) -> list:
-        """Scores for every target block; returns ``n_targets`` (B, 1) tensors."""
+        """Scores for every target block; returns ``n_targets`` (B, 1) tensors.
+
+        The user stage runs once over the history rows and once per target
+        block, and the head reads its outputs as they are."""
         b, n, k = batch.size, batch.history_size, batch.n_targets
         stage = self.item_stage(batch.items, force=force)
-        e_h, fused, _ = self.user_stage(stage, batch.user_rows, batch.row_items)
+
+        def halves(start: int, stop: int) -> tuple[Tensor, Tensor]:
+            return self.user_stage(stage, batch.user_rows[start:stop],
+                                   batch.row_items[start:stop])[:2]
+
         # tuple t's history is rows t*n .. t*n+n-1 of the trailing B*N rows
-        history = self._history(e_h, fused, np.arange(k * b, k * b + b * n), n)
+        history = self._history(*halves(k * b, k * b + b * n), n)
         user = self._user_rows(batch.tuple_users)
         mask = ad.constant(batch.history_mask)
-        outputs = []
-        for block in range(k):
-            rows = np.arange(block * b, (block + 1) * b)
-            e_t, f_t = ad.gather_rows(e_h, rows), ad.gather_rows(fused, rows)
-            outputs.append(self._head(user, e_t, f_t, history, mask)[0])
-        return outputs
+        return [self._head(user, *halves(block * b, (block + 1) * b), history, mask)[0]
+                for block in range(k)]

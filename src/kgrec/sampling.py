@@ -43,24 +43,52 @@ class WalkConfig:
             raise InputError("num_walks, walk_length and context_size must be >= 1")
 
 
-def sample_local_neighbors(kg: KnowledgeGraph, entity: int, size: int,
-                           rng: np.random.Generator) -> list:
-    """Exactly ``size`` (relation, tail) pairs from the entity's neighbors.
+def _uniform_slots(pool: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, size) positions into n pools of the given sizes.
 
-    Uniform without replacement when enough neighbors exist, with replacement
-    otherwise; an isolated entity falls back to ``size`` self-loops tagged
-    with the reserved self relation.
+    Row i is a uniform ``size``-subset of range(pool[i]) when the pool is that
+    large, drawn by Floyd's algorithm with one ``integers`` call per slot over
+    all such rows; ``size`` uniform positions with replacement when
+    0 < pool[i] < size, from one call over those rows; and 0 for an empty
+    pool, which the caller masks.
+    """
+    pool = np.asarray(pool, dtype=np.int64)
+    slots = np.zeros((len(pool), size), dtype=np.int64)
+    short = (pool > 0) & (pool < size)
+    slots[short] = rng.integers(0, pool[short, None], size=(int(short.sum()), size))
+    full = pool >= size
+    chosen = np.empty((int(full.sum()), size), dtype=np.int64)
+    top = pool[full] - size
+    for k in range(size):
+        # Floyd: draw from 0..top+k; a value already taken yields top+k itself
+        pick = rng.integers(0, top + k + 1)
+        taken = (chosen[:, :k] == pick[:, None]).any(axis=1)
+        chosen[:, k] = np.where(taken, top + k, pick)
+    slots[full] = chosen
+    return slots
+
+
+def sample_local_neighbors(kg: KnowledgeGraph, entities, size: int,
+                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` (relation, tail) neighbors of every entity, as (n, size)
+    relation and tail arrays.
+
+    Uniform without replacement when an entity has at least ``size``
+    neighbors, with replacement otherwise; an isolated entity falls back to
+    ``size`` self-loops tagged with the reserved self relation.
     """
     if size < 1:
         raise InputError("size must be >= 1")
-    pairs = kg.adjacency[entity]
-    if not pairs:
-        return [(kg.self_relation, entity)] * size
-    if len(pairs) >= size:
-        chosen = rng.choice(len(pairs), size=size, replace=False)
-    else:
-        chosen = rng.integers(0, len(pairs), size=size)
-    return [pairs[j] for j in chosen]
+    entities = np.asarray(entities, dtype=np.int64).ravel()
+    start = kg.edge_offsets[entities]
+    degree = kg.edge_offsets[entities + 1] - start
+    edges = start[:, None] + _uniform_slots(degree, size, rng)
+    rels = np.full((len(entities), size), kg.self_relation, dtype=np.int64)
+    tails = np.repeat(entities[:, None], size, axis=1)
+    linked = degree > 0
+    rels[linked] = kg.edge_relations[edges[linked]]
+    tails[linked] = kg.edge_tails[edges[linked]]
+    return rels, tails
 
 
 def walk_step(kg: KnowledgeGraph, prev: int | None, cur: int, gamma: float,
@@ -77,7 +105,12 @@ def walk_step(kg: KnowledgeGraph, prev: int | None, cur: int, gamma: float,
         return cur
     if prev is None:
         return int(candidates[rng.integers(0, candidates.size)])
-    near_prev = np.isin(candidates, kg.neighbors_of(prev)) | (candidates == prev)
+    near_prev = candidates == prev
+    prev_neighbors = kg.neighbors_of(prev)
+    if prev_neighbors.size:
+        # prev_neighbors is sorted, so membership is a binary search per candidate
+        at = np.searchsorted(prev_neighbors, candidates).clip(max=prev_neighbors.size - 1)
+        near_prev |= prev_neighbors[at] == candidates
     weights = np.where(near_prev, gamma, 1.0 - gamma)
     weights = weights / weights.sum()
     return int(rng.choice(candidates, p=weights))
@@ -284,19 +317,28 @@ def sample_kg_negatives(kg: KnowledgeGraph, rng: np.random.Generator) -> list:
     return quads
 
 
-def sample_history(store: InteractionStore, user: int, exclude: int | None,
-                   size: int, rng: np.random.Generator) -> list:
-    """``size`` items from the user's train positives, minus the target item.
+def sample_history(store: InteractionStore, users, exclude, size: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` items per user from their train positives, minus that row's
+    target item; returns the (n, size) items and the (n,) mask of rows whose
+    pool is not empty.
 
-    Without replacement when the pool is large enough, with replacement
-    otherwise.  An empty pool yields an empty list, which the model treats as
-    a zero history context.
+    ``exclude`` holds each row's target item, or is None for none.  Without
+    replacement when the pool is large enough, with replacement otherwise.
+    A row with an empty pool holds item 0 and a False mask, which the model
+    treats as a zero history context.
     """
-    pool = [i for i in store.positive_list(user, "train") if i != exclude]
-    if not pool:
-        return []
-    if len(pool) >= size:
-        chosen = rng.choice(len(pool), size=size, replace=False)
-    else:
-        chosen = rng.integers(0, len(pool), size=size)
-    return [pool[j] for j in chosen]
+    users = np.asarray(users, dtype=np.int64).ravel()
+    start = store.train_offsets[users]
+    pool = store.train_offsets[users + 1] - start
+    at, found = np.zeros(len(users), dtype=np.int64), np.zeros(len(users), dtype=bool)
+    if exclude is not None:
+        at, found = store.train_position(users, np.ravel(exclude))
+        pool = pool - found
+    slots = _uniform_slots(pool, size, rng)
+    # a slot at or past the target's position reads the item after it
+    slots += found[:, None] & (slots >= (at - start)[:, None])
+    nonempty = pool > 0
+    items = np.zeros((len(users), size), dtype=np.int64)
+    items[nonempty] = store.train_items[start[nonempty, None] + slots[nonempty]]
+    return items, nonempty

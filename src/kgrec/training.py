@@ -138,36 +138,25 @@ def assemble_pair_batch(tuples, model_cfg: ModelConfig, kg: KnowledgeGraph,
                         item_entities, rng: np.random.Generator) -> PairBatch:
     """Sample neighbors and histories for a slice of ranking tuples.
 
-    Neighbors are drawn once per distinct item in the batch; histories once
-    per tuple, excluding the tuple's positive item.  Tuples with an empty
-    history pool get placeholder rows that are masked out of the history
-    aggregation.
+    Histories are drawn for every tuple, excluding the tuple's positive item,
+    in one call; then neighbors for every distinct item in the batch, in
+    ascending item order, in one call.  Tuples with an empty history pool get
+    placeholder rows that are masked out of the history aggregation.
     """
-    b = len(tuples)
-    s = model_cfg.local_size
+    users, positives, negatives = np.asarray(tuples, dtype=np.int64).reshape(-1, 3).T
     n = model_cfg.history_size
-
-    histories = [sample_history(store, u, i_pos, n, rng) for u, i_pos, _ in tuples]
-    history_mask = np.array([[1.0 if h else 0.0] for h in histories])
-
+    histories, has_history = sample_history(store, users, positives, n, rng)
     # every row's item, target-major then history rows
-    slot_items = [i_pos for _, i_pos, _ in tuples] + [i_neg for _, _, i_neg in tuples]
-    for hist in histories:
-        slot_items.extend(hist if hist else [0] * n)
-    unique_items, row_items = np.unique(np.asarray(slot_items, dtype=np.int64),
-                                        return_inverse=True)
-    # one draw per distinct item, in ascending item order, fixes the stream
-    neighbors = [sample_local_neighbors(kg, int(item_entities[item]), s, rng)
-                 for item in unique_items]
+    unique_items, row_items = np.unique(
+        np.concatenate([positives, negatives, histories.ravel()]), return_inverse=True)
+    entities = item_entities[unique_items]
+    rels, tails = sample_local_neighbors(kg, entities, model_cfg.local_size, rng)
     ctx_rev, ctx_mask = cache.padded_contexts
-    items = ItemInputs.build(item_entities[unique_items], neighbors,
-                             ctx_rev[unique_items], ctx_mask[unique_items])
-
-    tuple_users = np.array([u for u, _, _ in tuples], dtype=np.int64)
-    users = np.concatenate([tuple_users, tuple_users, np.repeat(tuple_users, n)])
-    return PairBatch(user_rows=users, row_items=row_items, items=items,
-                     tuple_users=tuple_users, history_mask=history_mask,
-                     size=b, n_targets=2, history_size=n)
+    items = ItemInputs(entities, rels, tails, ctx_rev[unique_items], ctx_mask[unique_items])
+    return PairBatch(user_rows=np.concatenate([users, users, np.repeat(users, n)]),
+                     row_items=row_items, items=items, tuple_users=users,
+                     history_mask=has_history[:, None].astype(np.float64),
+                     size=len(users), n_targets=2, history_size=n)
 
 
 # ---------------------------------------------------------------------------

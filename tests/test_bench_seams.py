@@ -5,6 +5,7 @@ what they return; a target that is renamed away drops its metrics from a
 traced run.  These tests resolve every target the way the tracer does.
 """
 
+import collections
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgrec.evaluation import FastScorer, ItemContextSet
+from kgrec import evaluation, training
+from kgrec.evaluation import EvalConfig, FastScorer, ItemContextSet, evaluate
 from kgrec.graph import InteractionStore
 from kgrec.sampling import WalkConfig, build_walk_cache, substream
-from kgrec.training import assemble_pair_batch
+from kgrec.training import TrainConfig, assemble_pair_batch, train
 
 import synth
 
@@ -63,3 +65,26 @@ def test_user_scores_returns_one_score_per_item():
                                     substream(1, "eval-items"))
     scorer = FastScorer(params, cfg, items, contexts)
     assert scorer.user_scores(1, [2, 3]).shape == (store.item_count,)
+
+
+def test_samplers_run_once_per_batch_and_once_per_evaluation(monkeypatch):
+    """The wrapped sampler names are live: train() calls each once per batch
+    and evaluate() once per pass, so the traced call counts mean that."""
+    kg, params, cfg, items, _, cache = _world()
+    store = InteractionStore(4, 8, {"train": [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4)],
+                                    "test": [(0, 5), (2, 6)]})
+    calls = collections.Counter()
+    for module in (training, evaluation):
+        for name in ("sample_local_neighbors", "sample_history"):
+            def counted(*args, _sampler=getattr(module, name),
+                        _key=f"{module.__name__.rsplit('.', 1)[1]}.{name}", **kwargs):
+                calls[_key] += 1
+                return _sampler(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    # 25 tuples in batches of 4, capped at 3; no valid split, so no evaluation
+    train(store, kg, items, cache, cfg, TrainConfig(batch_size=4, max_batches=3, seed=2),
+          params=params)
+    assert calls == {"training.sample_local_neighbors": 3, "training.sample_history": 3}
+    evaluate(params, cfg, store, kg, items, cache, EvalConfig(), split="test")
+    assert calls == {"training.sample_local_neighbors": 3, "training.sample_history": 3,
+                     "evaluation.sample_local_neighbors": 1, "evaluation.sample_history": 1}

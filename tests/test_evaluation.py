@@ -87,8 +87,9 @@ def test_fast_scorer_matches_tape_scorer(flags):
                                     substream(1, "eval-items"))
     scorer = FastScorer(params, cfg, items, contexts)
     user = 2
-    history = sample_history(store, user, None, cfg.history_size,
-                             substream(1, "eval-history"))
+    items, nonempty = sample_history(store, [user], None, cfg.history_size,
+                                     substream(1, "eval-history"))
+    history = items[0].tolist() if nonempty[0] else []
     grads = {name: t.grad.copy() for name, t, _ in params.items()}
     scores = scorer.user_scores(user, history)
     halves = scorer.all_item_q(user)

@@ -102,8 +102,8 @@ def test_single_triple_builds_symmetric_adjacency(tmp_path):
     kg, item_entities, maps = _load_single_triple(tmp_path)
     a, b = maps.dense("entity", "a"), maps.dense("entity", "b")
     r = maps.dense("relation", "r")
-    assert kg.adjacency[a] == [(r, b)]
-    assert kg.adjacency[b] == [(kg.inverse(r), a)]
+    assert kg.local_context(a) == [(r, b)]
+    assert kg.local_context(b) == [(kg.inverse(r), a)]
     assert kg.relation_count == 2
     assert item_entities.tolist() == [a]
 
@@ -111,7 +111,7 @@ def test_single_triple_builds_symmetric_adjacency(tmp_path):
 def test_repeated_triples_stored_once():
     kg = KnowledgeGraph(2, 1, [Triple(0, 0, 1), Triple(0, 0, 1)])
     assert len(kg.triples) == 1
-    assert kg.adjacency[0] == [(0, 1)]
+    assert kg.local_context(0) == [(0, 1)]
 
 
 def test_self_relation_is_reserved_past_inverses():
@@ -283,7 +283,7 @@ def test_dataset_directory_round_trip(tmp_path):
     assert store2.pairs("train") == store.pairs("train")
     assert store2.pairs("test") == store.pairs("test")
     assert kg2.entity_count == kg.entity_count
-    assert kg2.adjacency == kg.adjacency
+    assert all(kg2.local_context(e) == kg.local_context(e) for e in range(kg.entity_count))
     assert item_entities2.tolist() == [0, 1, 2]
     assert maps2.raw("entity", 9) == "entity9"
     stats = dataset_stats(store2, kg2)

@@ -424,12 +424,20 @@ def test_objective_gradient_on_batch_with_repeated_items():
 # ---------------------------------------------------------------------------
 
 
-def _concat_q(model, items, user_rows, row_items, force=None):
-    """q rows (R, 2d) as the concatenated forward builds them: each aggregate
-    is tanh([e_h, context] agg_W + agg_b) over a per-row hstack, and
-    q = e_h || fused.  Only the item stage's neighbor features are reused."""
+def _concat_relation_fuse(model, rels, tails):
+    """[e_r, e_t] rel_fuse_W over a per-pair hstack."""
     p = model.params
-    stage = model.item_stage(items, force=force)
+    return ad.matmul(ad.hstack(ad.gather_rows(p["relation_emb"], rels),
+                               ad.gather_rows(p["entity_emb"], tails)), p["rel_fuse_W"])
+
+
+def _concat_q(model, items, user_rows, row_items, force=None):
+    """q rows (R, 2d) as the concatenated forward builds them: neighbor
+    features tanh([e_h, e_rt] attn_W + attn_b) with e_rt = [e_r, e_t]
+    rel_fuse_W, each aggregate tanh([e_h, context] agg_W + agg_b), all over
+    per-row hstacks, and q = e_h || fused."""
+    p = model.params
+    mode = model._resolve_force(force)
 
     def aggregate(e, context):
         return ad.tanh(ad.affine(ad.hstack(e, context), p["agg_W"], p["agg_b"]))
@@ -437,13 +445,16 @@ def _concat_q(model, items, user_rows, row_items, force=None):
     e_h = ad.gather_rows(p["entity_emb"], items.entities)
     e_rows = ad.gather_rows(e_h, row_items)
     fused = None
-    if stage.feat is not None:
+    if mode != "nonlocal":
+        s = items.rels.shape[1]
+        e_rt = _concat_relation_fuse(model, items.rels.ravel(), items.tails.ravel())
+        feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, s), e_rt),
+                                 p["attn_W"], p["attn_b"]))
         users, index = np.unique(user_rows, return_inverse=True)
-        alpha = ad.neighbor_softmax(stage.feat, model._user_preferences(users), row_items,
-                                    index, stage.local_size)
+        alpha = ad.neighbor_softmax(feat, model._user_preferences(users), row_items, index, s)
         e_t = ad.gather_rows(p["entity_emb"], items.tails.ravel())
         fused = aggregate(e_rows, ad.neighbor_sum(alpha, e_t, row_items))
-    if stage.c_nonlocal is not None:
+    if mode != "local":
         h = ad.constant(np.zeros(e_h.shape))
         for step in range(items.ctx_rev.shape[1]):
             x = ad.gather_rows(p["entity_emb"], items.ctx_rev[:, step])
@@ -527,6 +538,11 @@ def test_split_scores_match_the_concatenated_forward(flags):
                                    _concat_user_scores(model, inputs, user, history),
                                    rtol=0, atol=1e-12)
 
+    rels, tails = inputs.rels.ravel(), inputs.tails.ravel()
+    np.testing.assert_allclose(model.relation_fuse(rels, tails).data,
+                               _concat_relation_fuse(model, rels, tails).data,
+                               rtol=0, atol=1e-12)
+
 
 @pytest.mark.parametrize("flags", _FLAG_CASES)
 def test_split_gradients_match_the_concatenated_forward(flags):
@@ -539,5 +555,13 @@ def test_split_gradients_match_the_concatenated_forward(flags):
         y_pos, y_neg = scores(batch)
         total_objective(model, y_pos, y_neg, quads, tcfg)[0].backward()
         grads.append({name: t.grad.copy() for name, t in params.trainable_items()})
-    for name, grad in grads[0].items():
-        np.testing.assert_allclose(grad, grads[1][name], rtol=0, atol=1e-12, err_msg=name)
+    # the graph term's relation fusion, which total_objective shares between both
+    rels, tails = [q[1] for q in quads], [q[2] for q in quads]
+    for fuse in (model.relation_fuse, lambda r, t: _concat_relation_fuse(model, r, t)):
+        params.zero_grads()
+        ad.sum_all(ad.square(fuse(rels, tails))).backward()
+        grads.append({name: t.grad.copy() for name, t in params.trainable_items()})
+    for split, concat in ((0, 1), (2, 3)):
+        for name, grad in grads[split].items():
+            np.testing.assert_allclose(grad, grads[concat][name], rtol=0, atol=1e-12,
+                                       err_msg=name)

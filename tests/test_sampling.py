@@ -6,6 +6,7 @@ against a brute-force visit counter on recorded walks.
 """
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -44,27 +45,88 @@ def test_walk_config_validation():
 
 def test_sample_exact_degree_returns_all_neighbors():
     kg = synth.star_kg(4)
-    got = sample_local_neighbors(kg, 0, 4, np.random.default_rng(0))
-    assert sorted(got) == kg.local_context(0)
+    rels, tails = sample_local_neighbors(kg, [0], 4, np.random.default_rng(0))
+    assert sorted(zip(rels[0].tolist(), tails[0].tolist())) == kg.local_context(0)
 
 
 def test_sample_with_replacement_when_degree_short():
     kg = KnowledgeGraph(2, 1, [Triple(0, 0, 1)])
-    got = sample_local_neighbors(kg, 0, 4, np.random.default_rng(0))
-    assert got == [(0, 1)] * 4
+    rels, tails = sample_local_neighbors(kg, [0], 4, np.random.default_rng(0))
+    assert list(zip(rels[0].tolist(), tails[0].tolist())) == [(0, 1)] * 4
 
 
 def test_isolated_entity_falls_back_to_self_loops():
     kg = KnowledgeGraph(3, 1, [Triple(0, 0, 1)])
-    got = sample_local_neighbors(kg, 2, 2, np.random.default_rng(0))
-    assert got == [(kg.self_relation, 2), (kg.self_relation, 2)]
+    rels, tails = sample_local_neighbors(kg, [2], 2, np.random.default_rng(0))
+    assert list(zip(rels[0].tolist(), tails[0].tolist())) == [(kg.self_relation, 2),
+                                                              (kg.self_relation, 2)]
 
 
 def test_neighbor_sampling_is_seed_deterministic():
     kg = synth.star_kg(8)
-    a = sample_local_neighbors(kg, 0, 3, np.random.default_rng(5))
-    b = sample_local_neighbors(kg, 0, 3, np.random.default_rng(5))
-    assert a == b
+    a = sample_local_neighbors(kg, [0], 3, np.random.default_rng(5))
+    b = sample_local_neighbors(kg, [0], 3, np.random.default_rng(5))
+    np.testing.assert_array_equal(a, b)
+
+
+def _chi2_upper(dof, z=4.0):
+    """About the z-sigma upper quantile of a chi-square with ``dof`` degrees
+    of freedom (Wilson-Hilferty); z = 4 is a tail of about 3e-5."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+def _assert_inclusion_chi2(counts, draws, p):
+    """Inclusion counts of every pool member against ``draws`` Bernoulli(p)
+    trials each; ``p`` may differ per member."""
+    counts, draws, p = (np.asarray(x, dtype=np.float64) for x in (counts, draws, p))
+    expected = draws * p
+    stat = float((((counts - expected) ** 2) / (expected * (1.0 - p))).sum())
+    assert stat <= _chi2_upper(len(counts)), (stat, counts, expected)
+
+
+def _assert_uniform_chi2(counts):
+    """Pearson's statistic of category counts against equal probabilities."""
+    counts = np.asarray(counts, dtype=np.float64)
+    expected = counts.sum() / len(counts)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat <= _chi2_upper(len(counts) - 1), (stat, counts)
+
+
+def test_neighbor_inclusion_frequencies_match_size_over_degree():
+    # a hub of degree 40 >> S, an entity of degree 6, a leaf of degree 1 and an
+    # isolated entity, interleaved in one call
+    triples = [Triple(0, 0, 1 + j) for j in range(40)]
+    triples += [Triple(41, j % 2, 42 + j) for j in range(6)]
+    kg = KnowledgeGraph(49, 2, triples)
+    leaf, isolated, rows = 1, 48, 6000
+    entities = np.tile([0, 41, leaf, isolated], rows)
+    s = 4
+    rels, tails = sample_local_neighbors(kg, entities, s, np.random.default_rng(91))
+    assert rels.shape == tails.shape == (4 * rows, s)
+    for entity in (0, 41):
+        pairs = kg.local_context(entity)
+        mine = entities == entity
+        for r_row, t_row in zip(rels[mine], tails[mine]):
+            drawn = list(zip(r_row.tolist(), t_row.tolist()))
+            assert len(set(drawn)) == s and set(drawn) <= set(pairs)
+        counts = collections.Counter(tails[mine].ravel().tolist())
+        _assert_inclusion_chi2([counts[t] for _, t in pairs], rows, s / len(pairs))
+    # a degree short of S draws with replacement: its one pair fills every slot
+    assert (tails[entities == leaf] == 0).all()
+    assert (rels[entities == leaf] == kg.inverse(0)).all()
+    assert (rels[entities == isolated] == kg.self_relation).all()
+    assert (tails[entities == isolated] == isolated).all()
+
+
+def test_neighbor_slots_are_uniform_with_replacement_when_degree_is_short():
+    kg = synth.star_kg(3)
+    rels, tails = sample_local_neighbors(kg, np.zeros(5000, dtype=np.int64), 5,
+                                         np.random.default_rng(92))
+    for slot in range(5):
+        counts = collections.Counter(tails[:, slot].tolist())
+        assert sorted(counts) == [1, 2, 3]
+        _assert_uniform_chi2([counts[t] for t in (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +185,32 @@ def test_transition_frequencies_match_normalized_weights():
     n = 100_000
     freqs = _freqs(kg, 0, 1, gamma, n, seed=11)
     _assert_within_3_sigma(freqs, expected, n)
+
+
+def _walk_step_isin(kg, prev, cur, gamma, rng):
+    """The transition with ``np.isin`` membership, as walk_step first computed it."""
+    candidates = kg.neighbors_of(cur)
+    if candidates.size == 0:
+        return cur
+    if prev is None:
+        return int(candidates[rng.integers(0, candidates.size)])
+    near_prev = np.isin(candidates, kg.neighbors_of(prev)) | (candidates == prev)
+    weights = np.where(near_prev, gamma, 1.0 - gamma)
+    weights = weights / weights.sum()
+    return int(rng.choice(candidates, p=weights))
+
+
+def test_walk_step_matches_the_isin_reference():
+    meta = np.random.default_rng(93)
+    for _ in range(60):
+        kg = synth.random_kg(meta)
+        seed = int(meta.integers(1 << 30))
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            cur = int(meta.integers(kg.entity_count))
+            # any entity, linked to cur or not, isolated or not, or no previous
+            prev = None if meta.random() < 0.1 else int(meta.integers(kg.entity_count))
+            assert walk_step(kg, prev, cur, 0.2, got) == _walk_step_isin(kg, prev, cur, 0.2, want)
 
 
 def test_stuck_walker_stays_put():
@@ -394,7 +482,8 @@ def test_kg_negative_skips_fully_connected_head():
 def test_history_distinct_and_excludes_target():
     pairs = [(0, i) for i in range(20)]
     store = InteractionStore(1, 20, {"train": pairs})
-    got = sample_history(store, 0, exclude=7, size=16, rng=np.random.default_rng(0))
+    items, _ = sample_history(store, [0], exclude=[7], size=16, rng=np.random.default_rng(0))
+    got = items[0].tolist()
     assert len(got) == 16
     assert len(set(got)) == 16
     assert 7 not in got
@@ -402,12 +491,51 @@ def test_history_distinct_and_excludes_target():
 
 def test_history_with_replacement_when_pool_short():
     store = InteractionStore(1, 20, {"train": [(0, 1), (0, 2), (0, 3)]})
-    got = sample_history(store, 0, exclude=None, size=16, rng=np.random.default_rng(0))
+    items, _ = sample_history(store, [0], exclude=None, size=16, rng=np.random.default_rng(0))
+    got = items[0].tolist()
     assert len(got) == 16
     assert set(got) <= {1, 2, 3}
 
 
 def test_history_empty_pool_returns_marker():
     store = InteractionStore(2, 5, {"train": [(0, 1)]})
-    assert sample_history(store, 1, None, 4, np.random.default_rng(0)) == []
-    assert sample_history(store, 0, 1, 4, np.random.default_rng(0)) == []
+    for users, exclude in (([1], None), ([0], [1])):
+        items, nonempty = sample_history(store, users, exclude, 4, np.random.default_rng(0))
+        assert nonempty.tolist() == [False]
+        assert items.tolist() == [[0, 0, 0, 0]]
+
+
+def test_history_inclusion_frequencies_match_size_over_pool():
+    # user 0 holds 40 train items, excluding a different one of them per row;
+    # user 1's target is no train item; user 2 holds fewer items than N;
+    # user 3 holds none
+    items0 = list(range(0, 80, 2))
+    pairs = [(0, i) for i in items0] + [(1, i) for i in range(20, 60)] \
+        + [(2, 5), (2, 9), (2, 77)]
+    store = InteractionStore(4, 80, {"train": pairs})
+    rows, n = 4000, 16
+    users = np.tile([0, 1, 2, 3], rows)
+    targets = np.tile([0, 1, 5, 0], rows)
+    targets[users == 0] = np.resize(items0, rows)
+    got, nonempty = sample_history(store, users, targets, n, np.random.default_rng(94))
+    assert got.shape == (4 * rows, n)
+    assert nonempty.tolist() == [True, True, True, False] * rows
+    assert (got[users == 3] == 0).all()
+
+    mine = got[users == 0]
+    for row, target in zip(mine, targets[users == 0]):
+        assert target not in row and len(set(row.tolist())) == n
+        assert set(row.tolist()) <= set(items0)
+    counts = collections.Counter(mine.ravel().tolist())
+    # each item is excluded in rows / 40 rows and drawn with p = N / 39 in the rest
+    _assert_inclusion_chi2([counts[i] for i in items0], rows - rows // 40, n / 39)
+
+    counts = collections.Counter(got[users == 1].ravel().tolist())
+    assert sorted(counts) == list(range(20, 60))
+    _assert_inclusion_chi2([counts[i] for i in range(20, 60)], rows, n / 40)
+
+    # two items remain after excluding 5, drawn with replacement
+    short = got[users == 2]
+    assert set(short.ravel().tolist()) == {9, 77}
+    for slot in range(n):
+        _assert_uniform_chi2([(short[:, slot] == i).sum() for i in (9, 77)])
