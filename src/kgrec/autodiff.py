@@ -265,14 +265,19 @@ def _row_index(indices, rows: int, op: str) -> np.ndarray:
     return idx
 
 
-def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+def _accum_rows(t: Tensor, idx: np.ndarray | None, g: np.ndarray) -> None:
     """Add row i of ``g`` into row idx[i] of t's gradient, where t is read as
     rows of g's width (consecutive rows of t form one row when g is wider).
+    ``idx=None`` means every row in order; ``g`` is then adopted, so it must
+    be a fresh array.
 
     One bincount over flat (row, col) cells sums duplicates in index order,
     as np.add.at does, at a fraction of its cost.
     """
     if not t.requires_grad:
+        return
+    if idx is None:
+        _accum(t, g.reshape(t.shape), owned=True)
         return
     width = g.shape[1]
     cells = (idx[:, None] * width + np.arange(width)).ravel()
@@ -420,64 +425,116 @@ def softmax_rows(a: Tensor) -> Tensor:
 # fused neighbor attention
 # ---------------------------------------------------------------------------
 #
-# The item stage holds S rows per item (neighbor k of item u is row u*S + k);
-# these ops read them by item index, so the (R*S, d) per-row copies of the
-# unfused gather / repeat / mul chain exist only as (R, S, d) views and
-# products inside the op.
+# The item stage holds S rows per item (neighbor k of item u is row u*S + k).
+# Indexed, these ops read them by item index: the (R, S, d) rows are
+# fancy-index copies that exist during the forward and are gathered again in
+# backward, so the tape holds only the indices.  With ``row_items=None`` every
+# item is a row, in order, and the ops read the tables as they are.
+
+
+def _neighbor_items(row_items, table: Tensor, s: int, op: str) -> np.ndarray | None:
+    return None if row_items is None else _row_index(row_items, table.shape[0] // s, op)
+
+
+def _neighbor_rows(table: Tensor, s: int, items: np.ndarray | None) -> np.ndarray:
+    """(R, S, d): the S rows of each row's item."""
+    rows = table.data.reshape(-1, s, table.shape[1])
+    return rows if items is None else rows[items]
 
 
 def neighbor_softmax(feat: Tensor, m: Tensor, row_items, row_users, s: int) -> Tensor:
-    """alpha (R, S): alpha[r, k] = softmax_k(feat[row_items[r]*S + k] . m[row_users[r]])."""
+    """alpha (R, S): alpha[r, k] = softmax_k(feat[row_items[r]*S + k] . m[row_users[r]]).
+
+    With ``row_items`` and ``row_users`` both None, row r is item r under m's
+    only row, for every item: the logits are one ``feat @ m`` product.
+    """
     if s < 1 or feat.shape[0] % s != 0 or feat.shape[1] != m.shape[1]:
         raise ShapeError(f"neighbor_softmax: feat {feat.shape}, m {m.shape}, S={s}")
-    items = _row_index(row_items, feat.shape[0] // s, "neighbor_softmax")
-    users = _row_index(row_users, m.shape[0], "neighbor_softmax")
-    if items.size != users.size:
+    if (row_items is None) != (row_users is None) or (row_items is None and m.shape[0] != 1):
+        raise ShapeError("neighbor_softmax: every-item rows need both indices None "
+                         f"and one m row, got m {m.shape}")
+    items = _neighbor_items(row_items, feat, s, "neighbor_softmax")
+    users = None if row_users is None else _row_index(row_users, m.shape[0], "neighbor_softmax")
+    if items is not None and items.size != users.size:
         raise ShapeError(f"neighbor_softmax: {items.size} items for {users.size} users")
-    f_rows = feat.data.reshape(-1, s, feat.shape[1])[items]     # (R, S, d)
-    m_rows = m.data[users]                                       # (R, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = np.einsum("rsd,rd->rs", f_rows, m_rows)
+        if items is None:
+            logits = (feat.data @ m.data[0]).reshape(-1, s)
+        else:
+            logits = np.einsum("rsd,rd->rs", _neighbor_rows(feat, s, items), m.data[users])
         out = Tensor(_softmax_data(logits), op="neighbor_softmax")
 
     def backprop():
         d_logits = _softmax_backward(out.grad, out.data)
+        m_rows = m.data if users is None else m.data[users]
         if feat.requires_grad:
             # one (S*d)-wide row per item: the item's S neighbor rows
             g = d_logits[:, :, None] * m_rows[:, None, :]
-            _accum_rows(feat, items, g.reshape(len(items), -1))
+            _accum_rows(feat, items, g.reshape(len(g), -1))
         if m.requires_grad:
-            _accum_rows(m, users, np.einsum("rs,rsd->rd", d_logits, f_rows))
+            if items is None:
+                _accum(m, d_logits.reshape(1, -1) @ feat.data, owned=True)
+            else:
+                _accum_rows(m, users, np.einsum("rs,rsd->rd", d_logits,
+                                                _neighbor_rows(feat, s, items)))
 
     return _finish(out, (feat, m), backprop)
 
 
-def neighbor_sum(alpha: Tensor, e_t: Tensor, row_items) -> Tensor:
-    """(R, d): row r is sum_k alpha[r, k] * e_t[row_items[r]*S + k], S = alpha's width."""
+def neighbor_aggregate(alpha: Tensor, tails: Tensor, base: Tensor, row_items) -> Tensor:
+    """(R, d): row r is tanh(base[i] + sum_k alpha[r, k] * tails[i*S + k]) with
+    i = row_items[r] and S = alpha's width; ``row_items=None`` means row r is
+    item r, for every item."""
     s = alpha.shape[1]
-    if e_t.shape[0] % s != 0:
-        raise ShapeError(f"neighbor_sum: {e_t.shape[0]} rows not divisible by S={s}")
-    items = _row_index(row_items, e_t.shape[0] // s, "neighbor_sum")
-    if items.size != alpha.shape[0]:
-        raise ShapeError(f"neighbor_sum: {items.size} items for alpha {alpha.shape}")
-    t_rows = e_t.data.reshape(-1, s, e_t.shape[1])[items]      # (R, S, d)
+    if tails.shape[0] % s != 0 or tails.shape[1] != base.shape[1]:
+        raise ShapeError(f"neighbor_aggregate: tails {tails.shape}, base {base.shape}, S={s}")
+    items = _neighbor_items(row_items, tails, s, "neighbor_aggregate")
+    rows = tails.shape[0] // s if items is None else items.size
+    if rows != alpha.shape[0] or (items is None and base.shape[0] != rows):
+        raise ShapeError(f"neighbor_aggregate: {rows} rows for alpha {alpha.shape}, "
+                         f"base {base.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(np.einsum("rs,rsd->rd", alpha.data, t_rows), op="neighbor_sum")
+        pre = np.einsum("rs,rsd->rd", alpha.data, _neighbor_rows(tails, s, items))
+        pre += base.data if items is None else base.data[items]
+    # tanh saturates, so an overflow must be caught before it
+    if not np.isfinite(pre).all():
+        raise NumericError("op 'neighbor_aggregate' produced non-finite values")
+    out = Tensor(np.tanh(pre, out=pre), op="neighbor_aggregate")
 
     def backprop():
+        g = out.grad * (1.0 - out.data * out.data)
         if alpha.requires_grad:
-            _accum(alpha, np.einsum("rd,rsd->rs", out.grad, t_rows), owned=True)
-        if e_t.requires_grad:
-            g = alpha.data[:, :, None] * out.grad[:, None, :]
-            _accum_rows(e_t, items, g.reshape(len(items), -1))
+            _accum(alpha, np.einsum("rd,rsd->rs", g, _neighbor_rows(tails, s, items)),
+                   owned=True)
+        if tails.requires_grad:
+            _accum_rows(tails, items, (alpha.data[:, :, None] * g[:, None, :]).reshape(rows, -1))
+        # last: with every item a row, base adopts g
+        _accum_rows(base, items, g)
 
-    return _finish(out, (alpha, e_t), backprop)
+    return _finish(out, (alpha, tails, base), backprop)
 
 
 def elementwise_gate(s, a, b) -> Tensor:
-    """s ⊙ a + (1 - s) ⊙ b, broadcasting s as needed."""
-    s = _wrap(s)
-    return add(mul(s, a), mul(sub(1.0, s), b))
+    """s ⊙ a + (1 - s) ⊙ b, broadcasting s as needed, as one node."""
+    s, a, b = _wrap(s), _wrap(a), _wrap(b)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = Tensor(s.data * a.data + (1.0 - s.data) * b.data, op="elementwise_gate")
+    except ValueError as exc:
+        raise ShapeError(f"elementwise_gate: incompatible shapes {s.shape}, {a.shape} "
+                         f"and {b.shape}") from exc
+
+    def backprop():
+        g = out.grad
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * s.data, a.shape), owned=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * (1.0 - s.data), b.shape), owned=True)
+        if s.requires_grad:
+            _accum(s, _unbroadcast(g * a.data, s.shape) - _unbroadcast(g * b.data, s.shape),
+                   owned=True)
+
+    return _finish(out, (s, a, b), backprop)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

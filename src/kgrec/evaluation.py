@@ -78,13 +78,11 @@ class FastScorer:
         frozen = {name: ad.constant(t.data) for name, t, _ in params.items()}
         self.model = GraphContextModel(cfg, frozen, item_entities)
         self.stage = self.model.item_stage(contexts)
-        self.items = np.arange(len(contexts.entities))
 
     def all_item_q(self, user: int) -> tuple[Tensor, Tensor]:
         """Every item's q halves for this user: entity rows and fused context
         rows, each (I, d)."""
-        return self.model.user_stage(self.stage, np.full(len(self.items), user),
-                                     self.items)[:2]
+        return self.model.user_stage(self.stage, [user])[:2]
 
     def user_scores(self, user: int, history_items) -> np.ndarray:
         """Preference score of this user for every item: shape (I,)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +97,22 @@ class KnowledgeGraph:
     """
 
     def __init__(self, entity_count: int, original_relation_count: int, triples):
+        """``triples`` are ``Triple``s or an (n, 3) array of (head, relation, tail)."""
         self.entity_count = int(entity_count)
         self.original_relation_count = int(original_relation_count)
         self.relation_count = 2 * self.original_relation_count
-        triples = list(triples)
-        n = len(triples)
-        h = np.fromiter((x.head for x in triples), dtype=np.int64, count=n)
-        r = np.fromiter((x.relation for x in triples), dtype=np.int64, count=n)
-        t = np.fromiter((x.tail for x in triples), dtype=np.int64, count=n)
+        if not isinstance(triples, np.ndarray):
+            triples = [(x.head, x.relation, x.tail) for x in triples]
+        table = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        h, r, t = table.T
         bad = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= self.entity_count) \
             | (r < 0) | (r >= self.original_relation_count)
         if bad.any():
-            raise InputError(f"triple {triples[int(np.argmax(bad))]} out of range")
+            raise InputError(f"triple {Triple(*table[int(np.argmax(bad))].tolist())} out of range")
         # the first of every run of equal triples, in input order (lexsort is stable)
         order = np.lexsort((t, r, h))
         kept = np.sort(order[_run_starts(h[order], r[order], t[order])])
-        self.triples = [triples[j] for j in kept.tolist()]
+        self.triples = list(map(Triple, *table[kept].T.tolist()))
 
         # CSR adjacency over both edge directions: entity e's (relation, tail)
         # pairs are edge_relations/edge_tails[edge_offsets[e]:edge_offsets[e+1]],
@@ -174,26 +175,37 @@ class InteractionStore:
     """Per-user positive item sets partitioned into train/valid/test."""
 
     def __init__(self, user_count: int, item_count: int, split_pairs: dict):
+        """``split_pairs`` maps a split to its (user, item) pairs, or an (n, 2) array."""
         self.user_count = int(user_count)
         self.item_count = int(item_count)
-        self._pairs = {s: list(split_pairs.get(s, [])) for s in SPLITS}
-        self._user_pos = {s: [set() for _ in range(self.user_count)] for s in SPLITS}
-        seen = set()
-        for split in SPLITS:
-            for u, i in self._pairs[split]:
-                if not (0 <= u < self.user_count and 0 <= i < self.item_count):
-                    raise InputError(f"interaction ({u}, {i}) out of range")
-                if (u, i) in seen:
-                    raise InputError(f"interaction ({u}, {i}) appears in two splits")
-                seen.add((u, i))
-                self._user_pos[split][u].add(i)
-        # CSR of the train positives: user u's items, ascending, are
+        self._pairs = {s: np.array(split_pairs.get(s, []), dtype=np.int64).reshape(-1, 2)
+                       for s in SPLITS}
+        pairs = np.concatenate([self._pairs[s] for s in SPLITS])
+        users, items = pairs.T
+        keys = users * self.item_count + items
+        bad = (users < 0) | (users >= self.user_count) | (items < 0) | (items >= self.item_count)
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        # the first offending pair in split order, as a pair-by-pair scan meets it
+        offenders = np.flatnonzero(bad | (first[which] != np.arange(len(keys))))
+        if offenders.size:
+            j = offenders[0]
+            problem = "out of range" if bad[j] else "appears in two splits"
+            raise InputError(f"interaction {tuple(pairs[j].tolist())} {problem}")
+        # each split's keys sorted by (user, item); for the train split this is
+        # a CSR: user u's items, ascending, are
         # train_items[train_offsets[u]:train_offsets[u+1]]
-        train = np.array(self._pairs["train"], dtype=np.int64).reshape(-1, 2)
-        self._train_keys = np.sort(train[:, 0] * self.item_count + train[:, 1])
-        self.train_offsets = np.searchsorted(
-            self._train_keys, np.arange(self.user_count + 1) * self.item_count)
-        self.train_items = self._train_keys % self.item_count
+        user_starts = np.arange(self.user_count + 1) * self.item_count
+        split_ends = np.cumsum([len(self._pairs[s]) for s in SPLITS])
+        self._user_pos = {}
+        for split, split_keys in zip(SPLITS, np.split(keys, split_ends[:-1])):
+            split_keys = np.sort(split_keys)
+            bounds = np.searchsorted(split_keys, user_starts)
+            if split == "train":
+                self._train_keys, self.train_offsets = split_keys, bounds
+                self.train_items = split_keys % self.item_count
+            flat = (split_keys % self.item_count).tolist()
+            bounds = bounds.tolist()
+            self._user_pos[split] = [set(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     @classmethod
     def unsplit(cls, pairs, user_count: int, item_count: int) -> "InteractionStore":
@@ -201,12 +213,13 @@ class InteractionStore:
         return cls(user_count, item_count, {"train": list(pairs)})
 
     def pairs(self, split: str) -> list:
-        return list(self._pairs[split])
+        """The split's (user, item) tuples in input order."""
+        return list(zip(*self._pairs[split].T.tolist()))
 
     def all_pairs(self) -> list:
         out = []
         for split in SPLITS:
-            out.extend(self._pairs[split])
+            out.extend(self.pairs(split))
         return out
 
     def positives(self, user: int, split: str) -> set:
@@ -381,23 +394,34 @@ def load_dataset(dirpath):
         raise InputError(f"{dirpath}: malformed dataset: {exc!r}") from None
 
 
+def _read_int_table(path, n_fields: int) -> np.ndarray:
+    """(rows, n_fields) int64 array of a file of tab-separated integers; blank
+    lines and ``#`` comments are skipped, and an empty file has no rows."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is legal here; loadtxt warns about it
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2)
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from exc
+    if table.size == 0:
+        return table.reshape(0, n_fields)
+    if table.shape[1] != n_fields:
+        raise ValueError(f"{path}: expected {n_fields} fields, got {table.shape[1]}")
+    return table
+
+
 def _read_dataset(dirpath):
     meta = {}
     for _, (key, value) in _read_tsv(os.path.join(dirpath, "meta.tsv"), 2):
         meta[key] = int(value)
-    split_pairs = {}
-    for split in SPLITS:
-        pairs = []
-        for _, (u, i) in _read_tsv(os.path.join(dirpath, f"{split}.tsv"), 2):
-            pairs.append((int(u), int(i)))
-        split_pairs[split] = pairs
-    store = InteractionStore(meta["users"], meta["items"], split_pairs)
-    triples = [Triple(int(h), int(r), int(t))
-               for _, (h, r, t) in _read_tsv(os.path.join(dirpath, "kg.tsv"), 3)]
-    kg = KnowledgeGraph(meta["entities"], meta["relations"], triples)
+    store = InteractionStore(meta["users"], meta["items"], {
+        split: _read_int_table(os.path.join(dirpath, f"{split}.tsv"), 2) for split in SPLITS})
+    kg = KnowledgeGraph(meta["entities"], meta["relations"],
+                        _read_int_table(os.path.join(dirpath, "kg.tsv"), 3))
     item_entities = np.full(meta["items"], -1, dtype=np.int64)
-    for _, (item, entity) in _read_tsv(os.path.join(dirpath, "item_entities.tsv"), 2):
-        item_entities[int(item)] = int(entity)
+    table = _read_int_table(os.path.join(dirpath, "item_entities.tsv"), 2)
+    item_entities[table[:, 0]] = table[:, 1]
     if (item_entities < 0).any():
         raise InputError(f"{dirpath}: item_entities.tsv is incomplete")
     id_maps = IdMaps.load(os.path.join(dirpath, "id_maps.tsv"))

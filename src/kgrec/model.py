@@ -244,32 +244,37 @@ class GraphContextModel:
         return ItemStage(e_h, p_h, feat, tails, c_nonlocal, s)
 
     def user_stage(self, stage: ItemStage, user_rows,
-                   row_items) -> tuple[Tensor, Tensor, Tensor | None]:
+                   row_items=None) -> tuple[Tensor, Tensor, Tensor | None]:
         """The halves of the q rows, entity rows (R, d) and fused context rows
         (R, d), and the neighbor attention (R, S), None when the local context
         is off.  Row r is user ``user_rows[r]`` with item ``row_items[r]`` of the
-        stage.  ``m_u`` runs once per distinct user; the neighbor softmax, the
+        stage; ``row_items=None`` means every item of the stage in order, for
+        the one user in ``user_rows``, and reads the stage's tables as they
+        are.  ``m_u`` runs once per distinct user; the neighbor softmax, the
         local aggregate and the gate run per row and read the item stage by
         index.
         """
+        def rows(t: Tensor) -> Tensor:
+            return t if row_items is None else ad.gather_rows(t, row_items)
+
         alpha = c_local = None
         if stage.feat is not None:
             users, user_index = np.unique(user_rows, return_inverse=True)
             m = self._user_preferences(users)
-            alpha = ad.neighbor_softmax(stage.feat, m, row_items, user_index,
+            alpha = ad.neighbor_softmax(stage.feat, m, row_items,
+                                        None if row_items is None else user_index,
                                         stage.local_size)
-            c_local = ad.tanh(ad.add(ad.gather_rows(stage.p_h, row_items),
-                                     ad.neighbor_sum(alpha, stage.tails, row_items)))
+            c_local = ad.neighbor_aggregate(alpha, stage.tails, stage.p_h, row_items)
         if stage.c_nonlocal is None:
             fused = c_local
         else:
-            c_nonlocal = ad.gather_rows(stage.c_nonlocal, row_items)
+            c_nonlocal = rows(stage.c_nonlocal)
             if c_local is None:
                 fused = c_nonlocal
             else:
                 gate = ad.sigmoid(self.params["gate_w"])
                 fused = ad.elementwise_gate(gate, c_local, c_nonlocal)
-        return ad.gather_rows(stage.e_h, row_items), fused, alpha
+        return rows(stage.e_h), fused, alpha
 
     def _rows_for(self, user: int, entities, contexts,
                   force: str | None = None) -> tuple[Tensor, Tensor, Tensor | None]:
@@ -277,9 +282,7 @@ class GraphContextModel:
         walks = [c.walk_context for c in contexts]
         items = ItemInputs.build(entities, [c.neighbors for c in contexts],
                                  *reverse_pad(walks, max(map(len, walks))))
-        rows = np.arange(len(contexts))
-        return self.user_stage(self.item_stage(items, force=force),
-                               np.full(len(rows), user), rows)
+        return self.user_stage(self.item_stage(items, force=force), [user])
 
     # -- the history head ----------------------------------------------------
     # Each affine over a concatenation runs as one product per half (w1..w4:

@@ -72,8 +72,14 @@ def test_c1_gradient_suite():
         "neighbor_softmax": (
             lambda r: ad.neighbor_softmax(r["f"], r["m"], [2, 0, 2, 1, 0], [1, 0, 0, 1, 1], 2),
             {"f": (6, 3), "m": (2, 3)}),
-        "neighbor_sum": (lambda r: ad.neighbor_sum(r["a"], r["e"], [2, 0, 2, 1, 0]),
-                         {"a": (5, 2), "e": (6, 3)}),
+        "neighbor_aggregate": (
+            lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], [2, 0, 2, 1, 0]),
+            {"a": (5, 2), "e": (6, 3), "b": (3, 3)}),
+        # every item in order, under one user
+        "neighbor_softmax_all": (lambda r: ad.neighbor_softmax(r["f"], r["m"], None, None, 2),
+                                 {"f": (6, 3), "m": (1, 3)}),
+        "neighbor_aggregate_all": (lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], None),
+                                   {"a": (3, 2), "e": (6, 3), "b": (3, 3)}),
         "gru_cell": (
             lambda r: ad.gru_cell(r["x"], r["h"], ad.GruParams(*(r[n] for n in gru_names))),
             {**{n: (1, 3) if n.endswith(("bz", "br", "bc")) else (3, 3) for n in gru_names},

@@ -85,8 +85,13 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
     ("neighbor_softmax",
      lambda r: ad.neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
      {"f": (4 * NBR_S, 5), "m": (3, 5)}),
-    ("neighbor_sum", lambda r: ad.neighbor_sum(r["a"], r["e"], NBR_ITEMS),
-     {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 5)}),
+    ("neighbor_aggregate", lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], NBR_ITEMS),
+     {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 5), "b": (4, 5)}),
+    # every item in order, under one user
+    ("neighbor_softmax_all", lambda r: ad.neighbor_softmax(r["f"], r["m"], None, None, NBR_S),
+     {"f": (4 * NBR_S, 5), "m": (1, 5)}),
+    ("neighbor_aggregate_all", lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], None),
+     {"a": (4, NBR_S), "e": (4 * NBR_S, 5), "b": (4, 5)}),
 ])
 def test_primitive_gradients(name, builder, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -247,11 +252,19 @@ def _unfused_neighbor_sum(alpha, e_t, items):
     return ad.sum_row_groups(weighted, s)
 
 
+def _unfused_neighbor_aggregate(alpha, tails, base, items):
+    return ad.tanh(ad.add(ad.gather_rows(base, items), _unfused_neighbor_sum(alpha, tails, items)))
+
+
+def _unfused_gate(s, a, b):
+    return ad.add(ad.mul(s, a), ad.mul(ad.sub(1.0, s), b))
+
+
 def _unfused_gru_cell(x, h, p):
     z = ad.sigmoid(ad.add(ad.affine(x, p.wz, p.bz), ad.matmul(h, p.uz)))
     r = ad.sigmoid(ad.add(ad.affine(x, p.wr, p.br), ad.matmul(h, p.ur)))
     c = ad.tanh(ad.add(ad.affine(x, p.wc, p.bc), ad.matmul(ad.mul(r, h), p.uc)))
-    return ad.elementwise_gate(z, c, h)
+    return _unfused_gate(z, c, h)
 
 
 _FUSED_CASES = {
@@ -259,10 +272,20 @@ _FUSED_CASES = {
         lambda r: ad.neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
         lambda r: _unfused_neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
         {"f": (4 * NBR_S, 6), "m": (3, 6)}),
-    "neighbor_sum": (
-        lambda r: ad.neighbor_sum(ad.softmax_rows(r["a"]), r["e"], NBR_ITEMS),
-        lambda r: _unfused_neighbor_sum(ad.softmax_rows(r["a"]), r["e"], NBR_ITEMS),
-        {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 6)}),
+    "neighbor_aggregate": (
+        lambda r: ad.neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"], NBR_ITEMS),
+        lambda r: _unfused_neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"],
+                                              NBR_ITEMS),
+        {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 6), "b": (4, 6)}),
+    # the gate keeps the unfused arithmetic, so it is compared bit for bit
+    "elementwise_gate": (
+        lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
+        lambda r: _unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
+        {"s": (1, 6), "a": (5, 6), "b": (5, 6)}),
+    "elementwise_gate_column": (
+        lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
+        lambda r: _unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
+        {"s": (5, 1), "a": (5, 6), "b": (5, 6)}),
     "gru_cell": (
         lambda r: gru_cell(r["x"], r["h"], _gru_params(r)),
         lambda r: _unfused_gru_cell(r["x"], r["h"], _gru_params(r)),
@@ -286,6 +309,45 @@ def test_fused_op_matches_unfused_composition(name):
             ad.sum_all(ad.mul(out, weight)).backward()
             results.append((out.data, {k: reg[k].grad.copy() for k in shapes}))
         (got, got_grads), (want, want_grads) = results
+        if name.startswith("elementwise_gate"):
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for k in shapes:
+            if name.startswith("elementwise_gate"):
+                np.testing.assert_array_equal(got_grads[k], want_grads[k], err_msg=k)
+            else:
+                np.testing.assert_allclose(got_grads[k], want_grads[k], rtol=0, atol=1e-12,
+                                           err_msg=k)
+
+
+@pytest.mark.parametrize("op", ["neighbor_softmax", "neighbor_aggregate"])
+def test_every_item_form_matches_the_indexed_form(op):
+    rng = np.random.default_rng(zlib.crc32(op.encode()) + 2)
+    n_items, every = 5, np.arange(5)
+    if op == "neighbor_softmax":
+        shapes = {"f": (n_items * NBR_S, 6), "m": (1, 6)}
+
+        def build(r, items):
+            users = None if items is None else np.zeros(n_items, dtype=int)
+            return ad.neighbor_softmax(r["f"], r["m"], items, users, NBR_S)
+    else:
+        shapes = {"a": (n_items, NBR_S), "e": (n_items * NBR_S, 6), "b": (n_items, 6)}
+
+        def build(r, items):
+            return ad.neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"], items)
+    for _ in range(20):
+        reg = _registry_with(rng, shapes)
+        for k in shapes:
+            reg[k].data *= 3.0
+        weight = ad.constant(rng.normal(size=build(reg, None).shape))
+        results = []
+        for items in (None, every):
+            reg.zero_grads()
+            out = build(reg, items)
+            ad.sum_all(ad.mul(out, weight)).backward()
+            results.append((out.data, {k: reg[k].grad.copy() for k in shapes}))
+        (got, got_grads), (want, want_grads) = results
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for k in shapes:
             np.testing.assert_allclose(got_grads[k], want_grads[k], rtol=0, atol=1e-12,
@@ -300,20 +362,39 @@ def test_fused_neighbor_ops_pick_rows_by_item_and_user():
     np.testing.assert_allclose(alpha[0], ad.softmax_rows(ad.constant([[8.0, 10.0]])).data[0])
     np.testing.assert_allclose(alpha[1], ad.softmax_rows(ad.constant([[9.0, 11.0]])).data[0])
     np.testing.assert_allclose(alpha[2], ad.softmax_rows(ad.constant([[1.0, 3.0]])).data[0])
-    mixed = ad.neighbor_sum(ad.constant([[0.25, 0.75]]), feat, [1]).data
-    np.testing.assert_allclose(mixed, [[0.25 * 4 + 0.75 * 6, 0.25 * 5 + 0.75 * 7]])
+    base = ad.constant([[0.0, 0.0], [0.5, -0.5], [9.0, 9.0]])
+    tails = ad.constant(feat.data / 10.0)
+    # row 0: item 1 (tail rows 2, 3) on base row 1
+    mixed = ad.neighbor_aggregate(ad.constant([[0.25, 0.75]]), tails, base, [1]).data
+    np.testing.assert_allclose(mixed, np.tanh([[0.5 + 0.25 * 0.4 + 0.75 * 0.6,
+                                                -0.5 + 0.25 * 0.5 + 0.75 * 0.7]]))
     with pytest.raises(ShapeError):
         ad.neighbor_softmax(feat, m, [3], [0], 2)
     with pytest.raises(ShapeError):
-        ad.neighbor_sum(ad.constant([[1.0, 0.0]]), feat, [0, 1])
+        ad.neighbor_aggregate(ad.constant([[1.0, 0.0]]), feat, base, [0, 1])
+    # the every-item form takes one m row and a base row per item
+    with pytest.raises(ShapeError):
+        ad.neighbor_softmax(feat, m, None, None, 2)
+    with pytest.raises(ShapeError):
+        ad.neighbor_softmax(feat, ad.constant([[1.0, 0.0]]), None, [0, 0, 0], 2)
+    with pytest.raises(ShapeError):
+        ad.neighbor_aggregate(ad.constant(np.ones((3, 2))), feat, ad.constant(np.ones((2, 2))),
+                              None)
 
 
 def test_fused_ops_name_themselves_on_overflow():
     huge = ad.constant(np.full((4, 2), 1e200))
     with pytest.raises(NumericError, match="'neighbor_softmax'"):
         ad.neighbor_softmax(huge, ad.constant(np.full((1, 2), 1e200)), [0, 1], [0, 0], 2)
-    with pytest.raises(NumericError, match="'neighbor_sum'"):
-        ad.neighbor_sum(ad.constant([[1e200, 1e200]]), huge, [1])
+    with pytest.raises(NumericError, match="'neighbor_aggregate'"):
+        ad.neighbor_aggregate(ad.constant([[1e200, 1e200]]), huge, ad.constant(np.zeros((2, 2))),
+                              [1])
+    # a finite weighted sum that overflows on the base row; its tanh alone would hide it
+    with pytest.raises(NumericError, match="'neighbor_aggregate'"):
+        ad.neighbor_aggregate(ad.constant([[1.0, 0.0]]), ad.constant(np.full((4, 2), 1e308)),
+                              ad.constant(np.full((2, 2), 1e308)), [1])
+    with pytest.raises(NumericError, match="'elementwise_gate'"):
+        ad.elementwise_gate(ad.constant([[1e200]]), huge, huge)
     rng = np.random.default_rng(37)
     reg = _registry_with(rng, _gru_shapes(2, 2, 1))
     reg["x"].data[...] = 1e200

@@ -453,7 +453,9 @@ def _concat_q(model, items, user_rows, row_items, force=None):
         users, index = np.unique(user_rows, return_inverse=True)
         alpha = ad.neighbor_softmax(feat, model._user_preferences(users), row_items, index, s)
         e_t = ad.gather_rows(p["entity_emb"], items.tails.ravel())
-        fused = aggregate(e_rows, ad.neighbor_sum(alpha, e_t, row_items))
+        cells = (np.asarray(row_items)[:, None] * s + np.arange(s)).ravel()
+        weighted = ad.mul(ad.reshape(alpha, len(cells), 1), ad.gather_rows(e_t, cells))
+        fused = aggregate(e_rows, ad.sum_row_groups(weighted, s))
     if mode != "local":
         h = ad.constant(np.zeros(e_h.shape))
         for step in range(items.ctx_rev.shape[1]):
