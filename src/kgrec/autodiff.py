@@ -454,7 +454,8 @@ def neighbor_softmax(feat: Tensor, m: Tensor, row_items, row_users, s: int) -> T
         raise ShapeError("neighbor_softmax: every-item rows need both indices None "
                          f"and one m row, got m {m.shape}")
     items = _neighbor_items(row_items, feat, s, "neighbor_softmax")
-    users = None if row_users is None else _row_index(row_users, m.shape[0], "neighbor_softmax")
+    users = (np.zeros(feat.shape[0] // s, dtype=np.intp) if row_users is None
+             else _row_index(row_users, m.shape[0], "neighbor_softmax"))
     if items is not None and items.size != users.size:
         raise ShapeError(f"neighbor_softmax: {items.size} items for {users.size} users")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -466,17 +467,13 @@ def neighbor_softmax(feat: Tensor, m: Tensor, row_items, row_users, s: int) -> T
 
     def backprop():
         d_logits = _softmax_backward(out.grad, out.data)
-        m_rows = m.data if users is None else m.data[users]
         if feat.requires_grad:
             # one (S*d)-wide row per item: the item's S neighbor rows
-            g = d_logits[:, :, None] * m_rows[:, None, :]
+            g = d_logits[:, :, None] * m.data[users][:, None, :]
             _accum_rows(feat, items, g.reshape(len(g), -1))
         if m.requires_grad:
-            if items is None:
-                _accum(m, d_logits.reshape(1, -1) @ feat.data, owned=True)
-            else:
-                _accum_rows(m, users, np.einsum("rs,rsd->rd", d_logits,
-                                                _neighbor_rows(feat, s, items)))
+            _accum_rows(m, users, np.einsum("rs,rsd->rd", d_logits,
+                                            _neighbor_rows(feat, s, items)))
 
     return _finish(out, (feat, m), backprop)
 

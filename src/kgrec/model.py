@@ -248,11 +248,9 @@ class GraphContextModel:
         """The halves of the q rows, entity rows (R, d) and fused context rows
         (R, d), and the neighbor attention (R, S), None when the local context
         is off.  Row r is user ``user_rows[r]`` with item ``row_items[r]`` of the
-        stage; ``row_items=None`` means every item of the stage in order, for
-        the one user in ``user_rows``, and reads the stage's tables as they
-        are.  ``m_u`` runs once per distinct user; the neighbor softmax, the
-        local aggregate and the gate run per row and read the item stage by
-        index.
+        stage, read by index; ``row_items=None`` means every item of the stage
+        in order, for the one user in ``user_rows``, read from the stage's
+        tables as they are.  ``m_u`` runs once per distinct user.
         """
         def rows(t: Tensor) -> Tensor:
             return t if row_items is None else ad.gather_rows(t, row_items)
