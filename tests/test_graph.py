@@ -1,6 +1,7 @@
 """Ingestion, indexing and splitting tests for the data model."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -290,10 +291,29 @@ def test_dataset_directory_round_trip(tmp_path):
     assert stats["interactions"] == 3 and stats["entities"] == 10
 
 
+def test_empty_split_file_loads_without_a_warning(tmp_path):
+    rng = np.random.default_rng(0)
+    kg = synth.random_kg(rng, 10, 2, 20)
+    store = InteractionStore(2, 3, {"train": [(0, 0), (1, 2)], "test": [(0, 1)]})
+    maps = IdMaps()
+    for ns, count in (("user", 2), ("item", 3), ("entity", 10), ("relation", 2)):
+        for j in range(count):
+            maps.intern(ns, f"{ns}{j}")
+    save_dataset(tmp_path / "ds", store, kg, np.array([0, 1, 2]), maps)
+    assert (tmp_path / "ds" / "valid.tsv").read_text() == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, *_ = load_dataset(tmp_path / "ds")
+    assert loaded.pairs("valid") == [] and loaded.pairs("test") == [(0, 1)]
+    assert loaded.positives(1, "train") == {2}
+
+
 @pytest.mark.parametrize("name, text", [
     ("meta.tsv", "users\ttwo\n"),                  # not an integer
     ("meta.tsv", "users\t2\n"),                    # counts missing
     ("item_entities.tsv", "0\t0\n1\t1\n7\t2\n"),   # item out of range
+    ("train.tsv", "0\t0\t5\n"),                     # three fields
+    ("kg.tsv", "0\tr\t1\n"),                        # not an integer
 ])
 def test_malformed_dataset_directory_is_an_input_error(tmp_path, name, text):
     rng = np.random.default_rng(0)
