@@ -516,10 +516,11 @@ def elementwise_gate(s, a, b) -> Tensor:
     s, a, b = _wrap(s), _wrap(a), _wrap(b)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = Tensor(s.data * a.data + (1.0 - s.data) * b.data, op="elementwise_gate")
+            data = s.data * a.data + (1.0 - s.data) * b.data
     except ValueError as exc:
         raise ShapeError(f"elementwise_gate: incompatible shapes {s.shape}, {a.shape} "
                          f"and {b.shape}") from exc
+    out = Tensor(data, op="elementwise_gate")
 
     def backprop():
         g = out.grad

@@ -229,6 +229,8 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.sum_row_groups(a, 4)
     with pytest.raises(ShapeError):
+        ad.elementwise_gate(ad.constant(np.ones((1, 3))), a, b)
+    with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2)))
 
 
