@@ -483,13 +483,13 @@ def neighbor_aggregate(alpha: Tensor, tails: Tensor, base: Tensor, row_items) ->
     i = row_items[r] and S = alpha's width; ``row_items=None`` means row r is
     item r, for every item."""
     s = alpha.shape[1]
-    if tails.shape[0] % s != 0 or tails.shape[1] != base.shape[1]:
+    # base has one row per item, as tails has S
+    if tails.shape[0] % s != 0 or base.shape != (tails.shape[0] // s, tails.shape[1]):
         raise ShapeError(f"neighbor_aggregate: tails {tails.shape}, base {base.shape}, S={s}")
     items = _neighbor_items(row_items, tails, s, "neighbor_aggregate")
-    rows = tails.shape[0] // s if items is None else items.size
-    if rows != alpha.shape[0] or (items is None and base.shape[0] != rows):
-        raise ShapeError(f"neighbor_aggregate: {rows} rows for alpha {alpha.shape}, "
-                         f"base {base.shape}")
+    rows = base.shape[0] if items is None else items.size
+    if rows != alpha.shape[0]:
+        raise ShapeError(f"neighbor_aggregate: {rows} rows for alpha {alpha.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         pre = np.einsum("rs,rsd->rd", alpha.data, _neighbor_rows(tails, s, items))
         pre += base.data if items is None else base.data[items]

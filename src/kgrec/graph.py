@@ -74,14 +74,21 @@ class IdMaps:
 
 
 def _int_rows(rows, width: int) -> np.ndarray:
-    """(n, width) int64 array of rows of ``width`` integers: an array, or any
-    iterable of rows (read by ``fromiter``, several times faster than
-    ``np.array`` on a list of tuples)."""
+    """(n, width) int64 array of rows of ``width`` integers: an (n, width)
+    array, or any iterable of rows (read by ``fromiter``, several times faster
+    than ``np.array`` on a list of tuples)."""
     if isinstance(rows, np.ndarray):
-        return np.asarray(rows, dtype=np.int64).reshape(-1, width)
-    rows = list(rows)
-    flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, dtype=np.int64, count=len(rows) * width).reshape(-1, width)
+        table = rows.astype(np.int64, copy=False)
+    else:
+        rows = list(rows)
+        bad = next((j for j, row in enumerate(rows) if len(row) != width), None)
+        if bad is not None:
+            raise InputError(f"row {bad} {tuple(rows[bad])} does not have {width} fields")
+        flat = itertools.chain.from_iterable(rows)
+        table = np.fromiter(flat, dtype=np.int64, count=len(rows) * width).reshape(-1, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise InputError(f"expected rows of {width} fields, got an array of shape {table.shape}")
+    return table
 
 
 def _run_starts(*columns) -> np.ndarray:
@@ -113,11 +120,9 @@ class KnowledgeGraph:
         self.entity_count = int(entity_count)
         self.original_relation_count = int(original_relation_count)
         self.relation_count = 2 * self.original_relation_count
-        if isinstance(triples, np.ndarray):
-            table, triples = triples.reshape(-1, 3), None
-        else:
-            triples = list(triples)
-            table = _int_rows([(x.head, x.relation, x.tail) for x in triples], 3)
+        if not isinstance(triples, np.ndarray):
+            triples = [(x.head, x.relation, x.tail) for x in triples]
+        table = _int_rows(triples, 3)
         h, r, t = table.T
         bad = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= self.entity_count) \
             | (r < 0) | (r >= self.original_relation_count)
@@ -126,8 +131,7 @@ class KnowledgeGraph:
         # the first of every run of equal triples, in input order (lexsort is stable)
         order = np.lexsort((t, r, h))
         kept = np.sort(order[_run_starts(h[order], r[order], t[order])])
-        self.triples = (list(map(Triple, *table[kept].T.tolist())) if triples is None
-                        else [triples[j] for j in kept.tolist()])
+        self.triples = list(map(Triple, *table[kept].T.tolist()))
 
         # CSR adjacency over both edge directions: entity e's (relation, tail)
         # pairs are edge_relations/edge_tails[edge_offsets[e]:edge_offsets[e+1]],

@@ -374,6 +374,9 @@ def test_fused_neighbor_ops_pick_rows_by_item_and_user():
         ad.neighbor_softmax(feat, m, [3], [0], 2)
     with pytest.raises(ShapeError):
         ad.neighbor_aggregate(ad.constant([[1.0, 0.0]]), feat, base, [0, 1])
+    # base needs one row per item in the indexed form too
+    with pytest.raises(ShapeError):
+        ad.neighbor_aggregate(ad.constant([[1.0, 0.0]]), feat, ad.constant(base.data[:2]), [0])
     # the every-item form takes one m row and a base row per item
     with pytest.raises(ShapeError):
         ad.neighbor_softmax(feat, m, None, None, 2)

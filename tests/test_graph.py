@@ -251,6 +251,17 @@ def test_store_rejects_interaction_in_two_splits():
         InteractionStore(1, 2, {"train": [(0, 0)], "valid": [(0, 0)]})
 
 
+def test_rows_of_the_wrong_width_are_input_errors():
+    with pytest.raises(InputError, match="row 0"):
+        InteractionStore(2, 3, {"train": [(0, 1, 2), (1, 0)]})
+    with pytest.raises(InputError, match="row 1"):
+        InteractionStore(2, 3, {"train": [(0, 1), (1,)]})
+    with pytest.raises(InputError, match="shape"):
+        InteractionStore(2, 3, {"train": np.array([[0, 1, 2], [1, 0, 0]])})
+    with pytest.raises(InputError, match="shape"):
+        KnowledgeGraph(3, 1, np.array([[0, 0, 1, 2]]))
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
