@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import InputError, InteractionStore, KnowledgeGraph
+from .graph import SPLITS, InputError, InteractionStore, KnowledgeGraph
 from .model import GraphContextModel, ItemInputs, ModelConfig
 from .sampling import WalkCache, sample_history, sample_local_neighbors, substream
 
@@ -109,17 +109,18 @@ def metrics_for_user(ranked, test_positives, k: int) -> tuple:
 
 def _candidates_for(store: InteractionStore, user: int, split: str,
                     cfg: EvalConfig) -> np.ndarray:
-    excluded = set(store.positives(user, "train")) if split != "train" else set()
+    excluded = ["train"] if split != "train" else []
     if split == "test" and not cfg.include_valid_in_candidates:
-        excluded |= store.positives(user, "valid")
-    return _items_except(store.item_count, excluded)
+        excluded.append("valid")
+    return _items_except(store, user, excluded)
 
 
-def _items_except(item_count: int, excluded: set) -> np.ndarray:
-    """Items 0..item_count-1 not in ``excluded``, ascending."""
-    keep = np.ones(item_count, dtype=bool)
-    keep[np.fromiter(excluded, dtype=np.int64, count=len(excluded))] = False
-    return np.arange(item_count)[keep]
+def _items_except(store: InteractionStore, user: int, splits) -> np.ndarray:
+    """Items the user has in none of ``splits``, ascending."""
+    keep = np.ones(store.item_count, dtype=bool)
+    for split in splits:
+        keep[store.positive_list(user, split)] = False
+    return np.flatnonzero(keep)
 
 
 def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
@@ -142,7 +143,7 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     rng_hist = substream(seed, "eval-history")
     rng_sampled = substream(seed, "eval-candidates")
 
-    users = [user for user in range(store.user_count) if store.positives(user, split)]
+    users = [user for user in range(store.user_count) if store.positive_list(user, split)]
     histories, has_history = sample_history(store, users, None, model_cfg.history_size,
                                             rng_hist)
     totals = {k: np.zeros(3) for k in cfg.k_values}
@@ -170,10 +171,7 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
 
 def _sampled_candidate_metrics(scores, store, user, positives, cfg, rng):
     """Fast smoke protocol: rank each positive among sampled negatives only."""
-    all_pos = set()
-    for s in ("train", "valid", "test"):
-        all_pos |= store.positives(user, s)
-    pool = _items_except(store.item_count, all_pos)
+    pool = _items_except(store, user, SPLITS)
     sums = {k: np.zeros(3) for k in cfg.k_values}
     for pos in positives:
         if len(pool) > cfg.n_candidates:

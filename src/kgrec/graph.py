@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +99,7 @@ def _run_starts(*columns) -> np.ndarray:
     return starts
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
@@ -116,12 +115,10 @@ class KnowledgeGraph:
     """
 
     def __init__(self, entity_count: int, original_relation_count: int, triples):
-        """``triples`` are ``Triple``s or an (n, 3) array of (head, relation, tail)."""
+        """``triples`` are (head, relation, tail) rows: tuples or an (n, 3) array."""
         self.entity_count = int(entity_count)
         self.original_relation_count = int(original_relation_count)
         self.relation_count = 2 * self.original_relation_count
-        if not isinstance(triples, np.ndarray):
-            triples = [(x.head, x.relation, x.tail) for x in triples]
         table = _int_rows(triples, 3)
         h, r, t = table.T
         bad = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= self.entity_count) \
@@ -150,9 +147,6 @@ class KnowledgeGraph:
         distinct = _run_starts(heads, tails)
         self.neighbor_offsets = self._offsets(heads[distinct])
         self.neighbor_entities = tails[distinct]
-        flat = self.neighbor_entities.tolist()
-        bounds = self.neighbor_offsets.tolist()
-        self._neighbor_sets = [set(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _offsets(self, heads: np.ndarray) -> np.ndarray:
         """(entity_count + 1,) CSR offsets of rows grouped by ascending head."""
@@ -184,14 +178,13 @@ class KnowledgeGraph:
                                       self.neighbor_offsets[entity + 1]]
 
     def is_neighbor(self, entity: int, other: int) -> bool:
-        return other in self._neighbor_sets[entity]
-
-    def neighbor_set(self, entity: int) -> set:
-        return self._neighbor_sets[entity]
+        row = self.neighbors_of(entity)
+        at = np.searchsorted(row, other)
+        return bool(at < row.size and row[at] == other)
 
 
 class InteractionStore:
-    """Per-user positive item sets partitioned into train/valid/test."""
+    """Per-user positive items partitioned into train/valid/test."""
 
     def __init__(self, user_count: int, item_count: int, split_pairs: dict):
         """``split_pairs`` maps a split to its (user, item) pairs, or an (n, 2) array."""
@@ -209,21 +202,15 @@ class InteractionStore:
             j = offenders[0]
             problem = "out of range" if bad[j] else "appears in two splits"
             raise InputError(f"interaction {tuple(pairs[j].tolist())} {problem}")
-        # each split's keys sorted by (user, item); for the train split this is
-        # a CSR: user u's items, ascending, are
-        # train_items[train_offsets[u]:train_offsets[u+1]]
+        # each split's keys sorted by (user, item), with CSR offsets: user u's
+        # keys are _keys[split][_offsets[split][u]:_offsets[split][u+1]]; the
+        # train split's items, ascending per user, are train_items
         user_starts = np.arange(self.user_count + 1) * self.item_count
         split_ends = np.cumsum([len(self._pairs[s]) for s in SPLITS])
-        self._user_pos = {}
-        for split, split_keys in zip(SPLITS, np.split(keys, split_ends[:-1])):
-            split_keys = np.sort(split_keys)
-            bounds = np.searchsorted(split_keys, user_starts)
-            if split == "train":
-                self._train_keys, self.train_offsets = split_keys, bounds
-                self.train_items = split_keys % self.item_count
-            flat = (split_keys % self.item_count).tolist()
-            bounds = bounds.tolist()
-            self._user_pos[split] = [set(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._keys = dict(zip(SPLITS, map(np.sort, np.split(keys, split_ends[:-1]))))
+        self._offsets = {s: np.searchsorted(k, user_starts) for s, k in self._keys.items()}
+        self.train_offsets = self._offsets["train"]
+        self.train_items = self._keys["train"] % self.item_count
 
     @classmethod
     def unsplit(cls, pairs, user_count: int, item_count: int) -> "InteractionStore":
@@ -241,20 +228,23 @@ class InteractionStore:
         return out
 
     def positives(self, user: int, split: str) -> set:
-        return self._user_pos[split][user]
+        return set(self.positive_list(user, split))
 
     def train_position(self, users, items) -> tuple[np.ndarray, np.ndarray]:
         """Where each (user, item) pair sits in ``train_items``, or would be
         inserted, and whether it is there."""
         users = np.asarray(users, dtype=np.int64)
         keys = users * self.item_count + np.asarray(items, dtype=np.int64)
-        at = np.searchsorted(self._train_keys, keys)
+        at = np.searchsorted(self._keys["train"], keys)
         found = at < self.train_offsets[users + 1]
-        found[found] = self._train_keys[at[found]] == keys[found]
+        found[found] = self._keys["train"][at[found]] == keys[found]
         return at, found
 
     def positive_list(self, user: int, split: str) -> list:
-        return sorted(self._user_pos[split][user])
+        """The user's items in the split, ascending."""
+        offsets = self._offsets[split]
+        row = self._keys[split][offsets[user]:offsets[user + 1]]
+        return (row - user * self.item_count).tolist()
 
     def interaction_count(self) -> int:
         return sum(len(p) for p in self._pairs.values())

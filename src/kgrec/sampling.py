@@ -261,32 +261,43 @@ def build_walk_cache(kg: KnowledgeGraph, item_entities, cfg: WalkConfig,
 # ---------------------------------------------------------------------------
 
 
+def _draw_outside(keys: np.ndarray, owners, count: int, size: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` ids per owner, uniform over range(count) minus the ids that
+    ``keys`` (sorted distinct ``owner * count + id``) hold for that owner, as
+    an (n, size) array, and the (n,) pool sizes.
+
+    Distinct when the pool has ``size`` members, with replacement when it is
+    shorter (``_uniform_slots``); a row with an empty pool holds junk.
+    """
+    owners = np.asarray(owners, dtype=np.int64)
+    starts = np.searchsorted(keys, owners * count)
+    pool = count - (np.searchsorted(keys, (owners + 1) * count) - starts)
+    # owner o's k-th free key has o * count - starts[o] + k free keys below
+    # it, and keys[j] has keys[j] - j: one search turns a rank into a key
+    ranks = _uniform_slots(pool, size, rng) + (owners * count - starts)[:, None]
+    ranks += np.searchsorted(keys - np.arange(len(keys)), ranks, side="right")
+    return ranks - owners[:, None] * count, pool
+
+
 def sample_bpr_tuples(store: InteractionStore, n_neg: int,
                       rng: np.random.Generator) -> list:
-    """(user, positive, negative) tuples: ``n_neg`` negatives per train pair.
+    """(user, positive, negative) tuples: ``n_neg`` negatives per train pair,
+    pairs in (user, item) order.
 
-    Negatives are uniform over items outside the user's train positives and
-    distinct within one pair's draw whenever the pool allows it.
+    Negatives are uniform over items outside the user's train positives,
+    distinct within one pair's draw when the pool has ``n_neg`` items and
+    drawn with replacement when it is shorter.
     """
-    tuples = []
-    for u, i_pos in store.pairs("train"):
-        positives = store.positives(u, "train")
-        pool_size = store.item_count - len(positives)
-        if pool_size <= 0:
-            warnings.warn(f"user {u} interacts with every item; skipped in sampling")
-            continue
-        drawn: set = set()
-        for _ in range(n_neg):
-            while True:
-                cand = int(rng.integers(0, store.item_count))
-                if cand in positives:
-                    continue
-                if pool_size > len(drawn) and cand in drawn:
-                    continue
-                break
-            drawn.add(cand)
-            tuples.append((u, i_pos, cand))
-    return tuples
+    users = np.repeat(np.arange(store.user_count), np.diff(store.train_offsets))
+    negatives, pool = _draw_outside(users * store.item_count + store.train_items, users,
+                                    store.item_count, n_neg, rng)
+    for u in np.unique(users[pool == 0]).tolist():
+        warnings.warn(f"user {u} interacts with every item; skipped in sampling")
+    kept = pool > 0
+    return list(zip(np.repeat(users[kept], n_neg).tolist(),
+                    np.repeat(store.train_items[kept], n_neg).tolist(),
+                    negatives[kept].ravel().tolist()))
 
 
 def sample_kg_negatives(kg: KnowledgeGraph, rng: np.random.Generator) -> list:
@@ -295,26 +306,16 @@ def sample_kg_negatives(kg: KnowledgeGraph, rng: np.random.Generator) -> list:
     The corrupt tail is uniform over entities that are neither the head nor
     any neighbor of the head.
     """
-    quads = []
-    for t in kg.triples:
-        excluded = kg.neighbor_set(t.head)
-        excluded_size = len(excluded) + (0 if t.head in excluded else 1)
-        if excluded_size >= kg.entity_count:
-            warnings.warn(f"entity {t.head} neighbors every entity; triple skipped")
-            continue
-        corrupt = None
-        for _ in range(1000):
-            cand = int(rng.integers(0, kg.entity_count))
-            if cand != t.head and cand not in excluded:
-                corrupt = cand
-                break
-        if corrupt is None:
-            # dense head: fall back to explicit complement enumeration
-            complement = [e for e in range(kg.entity_count)
-                          if e != t.head and e not in excluded]
-            corrupt = int(complement[rng.integers(0, len(complement))])
-        quads.append((t.head, t.relation, t.tail, corrupt))
-    return quads
+    n = kg.entity_count
+    triples = np.array(kg.triples, dtype=np.int64).reshape(-1, 3)
+    # every entity's closed neighborhood N(e) + {e}, as sorted keys e * n + x
+    owners = np.repeat(np.arange(n), np.diff(kg.neighbor_offsets))
+    keys = np.union1d(owners * n + kg.neighbor_entities, np.arange(n) * (n + 1))
+    corrupt, pool = _draw_outside(keys, triples[:, 0], n, 1, rng)
+    for h in np.unique(triples[pool == 0, 0]).tolist():
+        warnings.warn(f"entity {h} neighbors every entity; triple skipped")
+    kept = pool > 0
+    return list(zip(*triples[kept].T.tolist(), corrupt[kept, 0].tolist()))
 
 
 def sample_history(store: InteractionStore, users, exclude, size: int,

@@ -39,6 +39,14 @@ class TrainConfig:
     eval_every: int = 1
     fixed_negatives: bool = False
 
+    def __post_init__(self):
+        if min(self.batch_size, self.n_neg, self.epochs, self.eval_every) < 1:
+            raise InputError("batch_size, n_neg, epochs and eval_every must be >= 1")
+        if self.patience < 0:
+            raise InputError("patience must be >= 0")
+        if self.max_batches is not None and self.max_batches < 1:
+            raise InputError("max_batches must be unset or >= 1")
+
 
 @dataclass
 class EpochRecord:
@@ -172,7 +180,8 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
     """Optimize the model and return (best-validation parameters, report).
 
     A ``NumericError`` raised by a batch is re-raised with the epoch and the
-    batch (both counted from 1) in front of its message.
+    batch (both counted from 1) in front of its message.  A store whose train
+    users each own every item gives no ranking tuple and an ``InputError``.
     """
     if not store.pairs("train"):
         raise InputError("training split is empty")
@@ -198,14 +207,6 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
                            include_valid_in_candidates=eval_cfg.include_valid_in_candidates)
     report = TrainReport()
 
-    use_kg = train_cfg.lambda1 != 0.0
-    ranking_tuples = None
-    kg_quads: list = []
-    if train_cfg.fixed_negatives:
-        ranking_tuples = sample_bpr_tuples(store, train_cfg.n_neg, rng_neg)
-        if use_kg:
-            kg_quads = sample_kg_negatives(kg, rng_neg)
-
     # without validation data there is nothing to select or stop on
     has_validation = bool(store.pairs("valid"))
     best_snapshot = None
@@ -213,13 +214,16 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
     best_at_epoch = 0
     batches_done = 0
     stop = False
+    kg_quads: list = []
 
     for epoch in range(1, train_cfg.epochs + 1):
         started = time.perf_counter()
-        if not train_cfg.fixed_negatives:
+        if epoch == 1 or not train_cfg.fixed_negatives:
             ranking_tuples = sample_bpr_tuples(store, train_cfg.n_neg, rng_neg)
-            if use_kg:
+            if train_cfg.lambda1 != 0.0:
                 kg_quads = sample_kg_negatives(kg, rng_neg)
+            if not ranking_tuples:
+                raise InputError("no ranking tuple can be drawn: every train user owns every item")
         order = rng_neg.permutation(len(ranking_tuples))
         kg_order = rng_neg.permutation(len(kg_quads)) if kg_quads else np.array([], dtype=int)
 

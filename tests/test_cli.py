@@ -195,6 +195,17 @@ def test_negative_seed_exits_one(pipeline):
     assert code == 1
 
 
+@pytest.mark.parametrize("setting", ["B=0", "n_neg=0", "eval_every=0", "epochs=0",
+                                     "patience=-1", "max_batches=0"])
+def test_train_setting_out_of_range_exits_one(pipeline, capsys, setting):
+    tmp_path, dataset, cache = pipeline
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(dataset), "--cache", str(cache),
+                 "--out", str(tmp_path / "x"), "--set", setting])
+    assert code == 1
+    assert "input error" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_one(pipeline):
     tmp_path, dataset, cache = pipeline
     bad = tmp_path / "bad.bin"

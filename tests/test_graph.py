@@ -207,6 +207,23 @@ def test_bidirectional_closure(raw_triples):
             assert kg.is_neighbor(h, int(t))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7)),
+                max_size=30))
+def test_is_neighbor_matches_brute_force(raw_triples):
+    kg = KnowledgeGraph(8, 3, raw_triples)
+    linked = {(h, t) for h, _, t in raw_triples} | {(t, h) for h, _, t in raw_triples}
+    for a in range(8):
+        for b in range(8):
+            assert kg.is_neighbor(a, b) == ((a, b) in linked)
+
+
+def test_triples_equal_plain_tuples():
+    kg = KnowledgeGraph(3, 1, [(0, 0, 1), Triple(1, 0, 2), (0, 0, 1)])
+    assert kg.triples == [Triple(0, 0, 1), Triple(1, 0, 2)] == [(0, 0, 1), (1, 0, 2)]
+    assert kg.triples[0].tail == 1 and hash(kg.triples[0]) == hash((0, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------
@@ -348,3 +365,16 @@ def test_reingestion_is_bit_identical(tmp_path):
     s2, m2 = load_interactions(p2)
     assert s1.all_pairs() == s2.all_pairs()
     assert all(m1.raw("user", j) == m2.raw("user", j) for j in range(2))
+
+
+def test_positives_match_brute_force_on_every_split():
+    rng = np.random.default_rng(42)
+    # user 7 has no interaction at all
+    keys = rng.choice(7 * 12, size=40, replace=False)
+    unsplit = InteractionStore.unsplit([(int(k) // 12, int(k) % 12) for k in keys], 8, 12)
+    store = split_interactions(unsplit, seed=5)
+    for split in ("train", "valid", "test"):
+        for user in range(8):
+            expected = {i for u, i in store.pairs(split) if u == user}
+            assert store.positives(user, split) == expected
+            assert store.positive_list(user, split) == sorted(expected)

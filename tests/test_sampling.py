@@ -435,6 +435,41 @@ def test_bpr_skips_user_owning_every_item():
     assert tuples == []
 
 
+def test_bpr_negatives_are_uniform_over_the_user_complement():
+    # user 0 holds 6 of 30 items; user 1's items lie in user 0's pool, so a
+    # draw that read the wrong row would miss or skip them
+    held = [1, 4, 5, 11, 20, 29]
+    store = InteractionStore(2, 30, {"train": [(0, i) for i in held] + [(1, 3), (1, 8)]})
+    complement = [i for i in range(30) if i not in held]
+    rng = np.random.default_rng(32)
+    # one negative per pair: each draw is uniform over the complement
+    counts = collections.Counter(neg for _ in range(600)
+                                 for u, _, neg in sample_bpr_tuples(store, 1, rng) if u == 0)
+    assert sorted(counts) == complement
+    _assert_uniform_chi2([counts[i] for i in complement])
+    # five per pair: a uniform 5-subset of the complement
+    calls, counts = 400, collections.Counter()
+    for _ in range(calls):
+        tuples = [t for t in sample_bpr_tuples(store, 5, rng) if t[0] == 0]
+        for j in range(0, len(tuples), 5):
+            negs = [t[2] for t in tuples[j:j + 5]]
+            assert len(set(negs)) == 5 and len({t[1] for t in tuples[j:j + 5]}) == 1
+            counts.update(negs)
+    assert sorted(counts) == complement
+    _assert_inclusion_chi2([counts[i] for i in complement], calls * len(held), 5 / 24)
+
+
+def test_bpr_short_pool_draws_only_from_the_complement():
+    # user 0 holds 28 of 30 items; 2 remain for n_neg = 5, drawn with replacement
+    store = InteractionStore(1, 30, {"train": [(0, i) for i in range(30) if i not in (6, 17)]})
+    rng = np.random.default_rng(33)
+    negs = np.array([t[2] for _ in range(50) for t in sample_bpr_tuples(store, 5, rng)])
+    negs = negs.reshape(-1, 5)       # one row per (user, positive) pair
+    assert set(negs.ravel().tolist()) == {6, 17}
+    for slot in range(5):
+        _assert_uniform_chi2([(negs[:, slot] == i).sum() for i in (6, 17)])
+
+
 # ---------------------------------------------------------------------------
 # graph negatives
 # ---------------------------------------------------------------------------
@@ -472,6 +507,24 @@ def test_kg_negative_skips_fully_connected_head():
     with pytest.warns(UserWarning, match="neighbors every entity"):
         quads = sample_kg_negatives(kg, np.random.default_rng(0))
     assert all(h != 0 for h, _, _, _ in quads)
+
+
+def test_kg_negatives_are_uniform_over_the_closed_neighborhood_complement():
+    # head 0 links to 1, 2 and 7; head 3 has a self-loop and links to 4; head
+    # 7 links to 0
+    triples = [(0, 0, 1), (0, 1, 2), (7, 0, 0), (3, 1, 3), (3, 0, 4)]
+    kg = KnowledgeGraph(12, 2, triples)
+    counts = collections.defaultdict(collections.Counter)
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        for h, r, t, neg in sample_kg_negatives(kg, rng):
+            assert (h, r, t) in triples
+            counts[h][neg] += 1
+    for h in (0, 3, 7):
+        closed = {h} | {b for a, _, b in triples if a == h} | {a for a, _, b in triples if b == h}
+        complement = [e for e in range(12) if e not in closed]
+        assert sorted(counts[h]) == complement
+        _assert_uniform_chi2([counts[h][e] for e in complement])
 
 
 # ---------------------------------------------------------------------------

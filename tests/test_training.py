@@ -327,6 +327,26 @@ def test_empty_training_split_is_an_input_error():
               TrainConfig(epochs=1))
 
 
+def test_no_drawable_ranking_tuple_is_an_input_error():
+    # the one train user owns both items, so no negative exists
+    store = InteractionStore(1, 2, {"train": [(0, 0), (0, 1)]})
+    kg = KnowledgeGraph(3, 1, [Triple(0, 0, 1)])
+    cache = build_walk_cache(kg, np.arange(2), WalkConfig(0.2, 2, 2, 2), seed=0)
+    with pytest.warns(UserWarning, match="every item"), \
+            pytest.raises(InputError, match="no ranking tuple"):
+        train(store, kg, np.arange(2), cache, ModelConfig(dim=2, local_size=2,
+                                                          history_size=2),
+              TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("setting", [{"batch_size": 0}, {"n_neg": 0}, {"epochs": 0},
+                                     {"eval_every": 0}, {"patience": -1},
+                                     {"max_batches": 0}])
+def test_train_config_rejects_out_of_range_settings(setting):
+    with pytest.raises(InputError):
+        TrainConfig(**setting)
+
+
 def test_cache_item_count_is_validated():
     store = InteractionStore(2, 3, {"train": [(0, 0)]})
     kg = KnowledgeGraph(3, 1, [Triple(0, 0, 1)])
