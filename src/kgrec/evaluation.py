@@ -26,7 +26,6 @@ class EvalConfig:
     policy: str = "full"              # "full" or "sampled" (smoke checks only)
     n_candidates: int = 100           # negatives per positive in sampled mode
     include_valid_in_candidates: bool = False
-    split: str = "test"
 
     def __post_init__(self):
         if any(k < 1 for k in self.k_values):
@@ -125,14 +124,13 @@ def _items_except(store: InteractionStore, user: int, splits) -> np.ndarray:
 
 def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
              kg: KnowledgeGraph, item_entities, cache: WalkCache,
-             cfg: EvalConfig | None = None, split: str | None = None,
+             cfg: EvalConfig | None = None, split: str = "test",
              seed: int = 0) -> EvalReport:
     """Unweighted per-user average of P@K / R@K / HR@K on one split.
 
     Users without positives in the target split are skipped.
     """
     cfg = cfg or EvalConfig()
-    split = split or cfg.split
     if cache.item_count != len(item_entities):
         raise InputError(f"walk cache covers {cache.item_count} items, "
                          f"dataset has {len(item_entities)}")
@@ -143,11 +141,11 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     rng_hist = substream(seed, "eval-history")
     rng_sampled = substream(seed, "eval-candidates")
 
-    users = [user for user in range(store.user_count) if store.positive_list(user, split)]
+    users = store.users_in(split)
     histories, has_history = sample_history(store, users, None, model_cfg.history_size,
                                             rng_hist)
     totals = {k: np.zeros(3) for k in cfg.k_values}
-    for user, history, nonempty in zip(users, histories, has_history):
+    for user, history, nonempty in zip(users.tolist(), histories, has_history):
         positives = store.positive_list(user, split)
         scores = scorer.user_scores(user, history if nonempty else [])
         if cfg.policy == "full":
@@ -162,7 +160,7 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
 
     metrics = {}
     for k in cfg.k_values:
-        avg = totals[k] / len(users) if users else np.zeros(3)
+        avg = totals[k] / len(users) if len(users) else np.zeros(3)
         metrics[k] = {"precision": float(avg[0]), "recall": float(avg[1]),
                       "hit_ratio": float(avg[2])}
     return EvalReport(split=split, metrics=metrics, users_evaluated=len(users),

@@ -128,7 +128,7 @@ class KnowledgeGraph:
         # the first of every run of equal triples, in input order (lexsort is stable)
         order = np.lexsort((t, r, h))
         kept = np.sort(order[_run_starts(h[order], r[order], t[order])])
-        self.triples = list(map(Triple, *table[kept].T.tolist()))
+        self.triple_table = table[kept]
 
         # CSR adjacency over both edge directions: entity e's (relation, tail)
         # pairs are edge_relations/edge_tails[edge_offsets[e]:edge_offsets[e+1]],
@@ -147,6 +147,12 @@ class KnowledgeGraph:
         distinct = _run_starts(heads, tails)
         self.neighbor_offsets = self._offsets(heads[distinct])
         self.neighbor_entities = tails[distinct]
+
+    @property
+    def triples(self) -> list:
+        """The deduplicated triples as ``Triple``s, built from ``triple_table``
+        on every read."""
+        return list(map(Triple, *self.triple_table.T.tolist()))
 
     def _offsets(self, heads: np.ndarray) -> np.ndarray:
         """(entity_count + 1,) CSR offsets of rows grouped by ascending head."""
@@ -215,7 +221,7 @@ class InteractionStore:
     @classmethod
     def unsplit(cls, pairs, user_count: int, item_count: int) -> "InteractionStore":
         """All interactions in one bucket, before ``split_interactions``."""
-        return cls(user_count, item_count, {"train": list(pairs)})
+        return cls(user_count, item_count, {"train": pairs})
 
     def pairs(self, split: str) -> list:
         """The split's (user, item) tuples in input order."""
@@ -226,6 +232,10 @@ class InteractionStore:
         for split in SPLITS:
             out.extend(self.pairs(split))
         return out
+
+    def users_in(self, split: str) -> np.ndarray:
+        """The users with at least one pair in the split, ascending."""
+        return np.flatnonzero(np.diff(self._offsets[split]))
 
     def positives(self, user: int, split: str) -> set:
         return set(self.positive_list(user, split))
@@ -355,9 +365,8 @@ def split_interactions(store: InteractionStore, ratios=(0.6, 0.2, 0.2),
     """Globally shuffle all interactions under ``seed`` and cut into three splits."""
     if not math.isclose(sum(ratios), 1.0, rel_tol=0, abs_tol=1e-9):
         raise InputError(f"split ratios {ratios} do not sum to 1")
-    pairs = store.all_pairs()
-    perm = np.random.default_rng(seed).permutation(len(pairs))
-    shuffled = [pairs[j] for j in perm]
+    pairs = np.concatenate([store._pairs[s] for s in SPLITS])
+    shuffled = pairs[np.random.default_rng(seed).permutation(len(pairs))]
     n_train, n_valid, _ = split_counts(len(pairs), ratios)
     return InteractionStore(store.user_count, store.item_count, {
         "train": shuffled[:n_train],
@@ -382,11 +391,11 @@ def save_dataset(dirpath, store: InteractionStore, kg: KnowledgeGraph,
         fh.write(f"relations\t{kg.original_relation_count}\n")
     for split in SPLITS:
         with open(os.path.join(dirpath, f"{split}.tsv"), "w", encoding="utf-8") as fh:
-            for u, i in store.pairs(split):
+            for u, i in store._pairs[split].tolist():
                 fh.write(f"{u}\t{i}\n")
     with open(os.path.join(dirpath, "kg.tsv"), "w", encoding="utf-8") as fh:
-        for t in kg.triples:
-            fh.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
+        for h, r, t in kg.triple_table.tolist():
+            fh.write(f"{h}\t{r}\t{t}\n")
     with open(os.path.join(dirpath, "item_entities.tsv"), "w", encoding="utf-8") as fh:
         for item, entity in enumerate(item_entities):
             fh.write(f"{item}\t{entity}\n")
@@ -445,5 +454,5 @@ def dataset_stats(store: InteractionStore, kg: KnowledgeGraph) -> dict:
         "density": density,
         "entities": kg.entity_count,
         "relations": kg.original_relation_count,
-        "triples": len(kg.triples),
+        "triples": len(kg.triple_table),
     }

@@ -281,9 +281,9 @@ def _draw_outside(keys: np.ndarray, owners, count: int, size: int,
 
 
 def sample_bpr_tuples(store: InteractionStore, n_neg: int,
-                      rng: np.random.Generator) -> list:
-    """(user, positive, negative) tuples: ``n_neg`` negatives per train pair,
-    pairs in (user, item) order.
+                      rng: np.random.Generator) -> np.ndarray:
+    """(n, 3) int64 (user, positive, negative) rows: ``n_neg`` negatives per
+    train pair, pairs in (user, item) order.
 
     Negatives are uniform over items outside the user's train positives,
     distinct within one pair's draw when the pool has ``n_neg`` items and
@@ -292,30 +292,31 @@ def sample_bpr_tuples(store: InteractionStore, n_neg: int,
     users = np.repeat(np.arange(store.user_count), np.diff(store.train_offsets))
     negatives, pool = _draw_outside(users * store.item_count + store.train_items, users,
                                     store.item_count, n_neg, rng)
-    for u in np.unique(users[pool == 0]).tolist():
+    for u in np.unique(users[pool == 0]):
         warnings.warn(f"user {u} interacts with every item; skipped in sampling")
     kept = pool > 0
-    return list(zip(np.repeat(users[kept], n_neg).tolist(),
-                    np.repeat(store.train_items[kept], n_neg).tolist(),
-                    negatives[kept].ravel().tolist()))
+    return np.column_stack([np.repeat(users[kept], n_neg),
+                            np.repeat(store.train_items[kept], n_neg),
+                            negatives[kept].ravel()])
 
 
-def sample_kg_negatives(kg: KnowledgeGraph, rng: np.random.Generator) -> list:
-    """One corrupted tail per original triple: (head, relation, tail, corrupt).
+def sample_kg_negatives(kg: KnowledgeGraph, rng: np.random.Generator) -> np.ndarray:
+    """One corrupted tail per original triple, as (n, 4) int64 (head,
+    relation, tail, corrupt) rows in triple order.
 
     The corrupt tail is uniform over entities that are neither the head nor
     any neighbor of the head.
     """
     n = kg.entity_count
-    triples = np.array(kg.triples, dtype=np.int64).reshape(-1, 3)
+    triples = kg.triple_table
     # every entity's closed neighborhood N(e) + {e}, as sorted keys e * n + x
     owners = np.repeat(np.arange(n), np.diff(kg.neighbor_offsets))
     keys = np.union1d(owners * n + kg.neighbor_entities, np.arange(n) * (n + 1))
     corrupt, pool = _draw_outside(keys, triples[:, 0], n, 1, rng)
-    for h in np.unique(triples[pool == 0, 0]).tolist():
+    for h in np.unique(triples[pool == 0, 0]):
         warnings.warn(f"entity {h} neighbors every entity; triple skipped")
     kept = pool > 0
-    return list(zip(*triples[kept].T.tolist(), corrupt[kept, 0].tolist()))
+    return np.column_stack([triples[kept], corrupt[kept, 0]])
 
 
 def sample_history(store: InteractionStore, users, exclude, size: int,

@@ -9,6 +9,7 @@ drives early stopping and best-checkpoint selection.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -91,17 +92,11 @@ def bpr_loss(y_pos: Tensor, y_neg: Tensor) -> Tensor:
     return ad.mul(ad.sum_all(ad.log_sigmoid(diffs)), -1.0 / n)
 
 
-def kg_distance(model: GraphContextModel, head: int, relation: int,
-                tail: int) -> Tensor:
-    """Squared distance between a head and its relation-fused tail."""
-    e_h = ad.gather_rows(model.params["entity_emb"], [head])
-    e_rt = model.relation_fuse([relation], [tail])
-    return ad.sum_all(ad.square(ad.sub(e_h, e_rt)))
-
-
-def _kg_distance_rows(model: GraphContextModel, heads, relations, tails) -> Tensor:
+def kg_distance(model: GraphContextModel, heads, relations, tails) -> Tensor:
+    """Squared distance between each head and its relation-fused tail, (n, 1);
+    scalar ids give one row."""
     e_h = ad.gather_rows(model.params["entity_emb"], heads)
-    e_rt = model.relation_fuse(relations, tails)
+    e_rt = model.relation_fuse(np.ravel(relations), np.ravel(tails))
     return ad.row_sums(ad.square(ad.sub(e_h, e_rt)))
 
 
@@ -109,14 +104,12 @@ def kg_loss(model: GraphContextModel, quads) -> Tensor:
     """Mean  log sigmoid(s(h,t) - s(h,t'))  over corrupted triples.
 
     Minimizing it drives connected tails closer to the head than corrupted
-    tails in the fused embedding space.
+    tails in the fused embedding space.  ``quads`` are (head, relation, tail,
+    corrupt) rows.
     """
-    heads = np.array([q[0] for q in quads], dtype=np.int64)
-    rels = np.array([q[1] for q in quads], dtype=np.int64)
-    tails = np.array([q[2] for q in quads], dtype=np.int64)
-    corrupt = np.array([q[3] for q in quads], dtype=np.int64)
-    s_pos = _kg_distance_rows(model, heads, rels, tails)
-    s_neg = _kg_distance_rows(model, heads, rels, corrupt)
+    heads, rels, tails, corrupt = np.asarray(quads, dtype=np.int64).reshape(-1, 4).T
+    s_pos = kg_distance(model, heads, rels, tails)
+    s_neg = kg_distance(model, heads, rels, corrupt)
     return ad.mul(ad.sum_all(ad.log_sigmoid(ad.sub(s_pos, s_neg))), 1.0 / len(quads))
 
 
@@ -125,7 +118,7 @@ def total_objective(model: GraphContextModel, y_pos: Tensor, y_neg: Tensor,
     """Ranking loss + lambda1 * graph loss + lambda2 * L2; also float parts."""
     loss = bpr_loss(y_pos, y_neg)
     parts = {"bpr": loss.item(), "kg": 0.0, "l2": 0.0}
-    if cfg.lambda1 != 0.0 and quads:
+    if cfg.lambda1 != 0.0 and len(quads):
         kg_term = kg_loss(model, quads)
         parts["kg"] = kg_term.item()
         loss = ad.add(loss, ad.mul(kg_term, cfg.lambda1))
@@ -183,7 +176,7 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
     batch (both counted from 1) in front of its message.  A store whose train
     users each own every item gives no ranking tuple and an ``InputError``.
     """
-    if not store.pairs("train"):
+    if not store.users_in("train").size:
         raise InputError("training split is empty")
     if cache.item_count != store.item_count:
         raise InputError(f"walk cache covers {cache.item_count} items, "
@@ -201,20 +194,17 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
     adam = AdamState(params)
     eval_cfg = eval_cfg or EvalConfig()
     # early stopping reads HR@20, so the validation run must rank that deep
-    valid_cfg = EvalConfig(k_values=tuple(sorted(set(eval_cfg.k_values) | {20})),
-                           policy=eval_cfg.policy,
-                           n_candidates=eval_cfg.n_candidates,
-                           include_valid_in_candidates=eval_cfg.include_valid_in_candidates)
+    valid_cfg = dataclasses.replace(eval_cfg, k_values=tuple(set(eval_cfg.k_values) | {20}))
     report = TrainReport()
 
     # without validation data there is nothing to select or stop on
-    has_validation = bool(store.pairs("valid"))
+    has_validation = store.users_in("valid").size > 0
     best_snapshot = None
     best_hr = -1.0
     best_at_epoch = 0
     batches_done = 0
     stop = False
-    kg_quads: list = []
+    kg_quads = np.zeros((0, 4), dtype=np.int64)
 
     for epoch in range(1, train_cfg.epochs + 1):
         started = time.perf_counter()
@@ -222,20 +212,21 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
             ranking_tuples = sample_bpr_tuples(store, train_cfg.n_neg, rng_neg)
             if train_cfg.lambda1 != 0.0:
                 kg_quads = sample_kg_negatives(kg, rng_neg)
-            if not ranking_tuples:
+            if not len(ranking_tuples):
                 raise InputError("no ranking tuple can be drawn: every train user owns every item")
         order = rng_neg.permutation(len(ranking_tuples))
-        kg_order = rng_neg.permutation(len(kg_quads)) if kg_quads else np.array([], dtype=int)
+        # permutation(0) draws nothing, so a run without graph quads keeps its stream
+        kg_order = rng_neg.permutation(len(kg_quads))
 
         b1 = train_cfg.batch_size
         n_batches = math.ceil(len(ranking_tuples) / b1)
-        b2 = math.ceil(len(kg_quads) / n_batches) if kg_quads else 0
+        b2 = math.ceil(len(kg_quads) / n_batches)
 
         sums = {"bpr": 0.0, "kg": 0.0, "l2": 0.0}
         weights = {"bpr": 0, "kg": 0}
         for bi in range(n_batches):
-            tuple_slice = [ranking_tuples[j] for j in order[bi * b1:(bi + 1) * b1]]
-            quad_slice = [kg_quads[j] for j in kg_order[bi * b2:(bi + 1) * b2]]
+            tuple_slice = ranking_tuples[order[bi * b1:(bi + 1) * b1]]
+            quad_slice = kg_quads[kg_order[bi * b2:(bi + 1) * b2]]
             batch = assemble_pair_batch(tuple_slice, model_cfg, kg, cache, store,
                                         item_entities, rng_ctx)
             try:

@@ -378,3 +378,6 @@ def test_positives_match_brute_force_on_every_split():
             expected = {i for u, i in store.pairs(split) if u == user}
             assert store.positives(user, split) == expected
             assert store.positive_list(user, split) == sorted(expected)
+        users = store.users_in(split)
+        assert users.dtype == np.int64
+        assert users.tolist() == sorted({u for u, _ in store.pairs(split)})

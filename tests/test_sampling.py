@@ -404,14 +404,14 @@ def test_cache_rejects_foreign_files(tmp_path):
 def test_bpr_emits_n_neg_tuples_per_interaction():
     store = InteractionStore(1, 10, {"train": [(0, 3)]})
     tuples = sample_bpr_tuples(store, 5, np.random.default_rng(0))
-    assert len(tuples) == 5
-    assert all(t[:2] == (0, 3) for t in tuples)
+    assert tuples.dtype == np.int64 and tuples.shape == (5, 3)
+    assert (tuples[:, :2] == (0, 3)).all()
 
 
 def test_bpr_negative_is_forced_with_two_items():
     store = InteractionStore(1, 2, {"train": [(0, 0)]})
     tuples = sample_bpr_tuples(store, 5, np.random.default_rng(0))
-    assert all(t[2] == 1 for t in tuples)
+    np.testing.assert_array_equal(tuples[:, 2], [1] * 5)
 
 
 def test_bpr_negatives_never_hit_train_positives():
@@ -432,7 +432,7 @@ def test_bpr_skips_user_owning_every_item():
     store = InteractionStore(1, 2, {"train": [(0, 0), (0, 1)]})
     with pytest.warns(UserWarning, match="every item"):
         tuples = sample_bpr_tuples(store, 5, np.random.default_rng(0))
-    assert tuples == []
+    assert tuples.dtype == np.int64 and tuples.shape == (0, 3)
 
 
 def test_bpr_negatives_are_uniform_over_the_user_complement():
@@ -457,6 +457,21 @@ def test_bpr_negatives_are_uniform_over_the_user_complement():
             counts.update(negs)
     assert sorted(counts) == complement
     _assert_inclusion_chi2([counts[i] for i in complement], calls * len(held), 5 / 24)
+
+
+def test_samplers_keep_their_rows_and_draws():
+    # literal rows pin the draw order and the row order of both samplers
+    store = InteractionStore(3, 8, {"train": [(2, 5), (0, 4), (1, 0), (0, 1), (2, 2), (2, 6)]})
+    tuples = sample_bpr_tuples(store, 2, np.random.default_rng(3))
+    assert tuples.dtype == np.int64
+    np.testing.assert_array_equal(tuples, [
+        (0, 1, 6), (0, 1, 7), (0, 4, 0), (0, 4, 5), (1, 0, 2), (1, 0, 1),
+        (2, 2, 0), (2, 2, 7), (2, 5, 0), (2, 5, 1), (2, 6, 4), (2, 6, 3)])
+    kg = KnowledgeGraph(7, 2, [(3, 0, 4), (0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 0, 1), (5, 1, 3)])
+    quads = sample_kg_negatives(kg, np.random.default_rng(3))
+    assert quads.dtype == np.int64
+    np.testing.assert_array_equal(quads, [
+        (3, 0, 4, 6), (0, 0, 1, 3), (1, 1, 2, 3), (2, 0, 0, 3), (5, 1, 3, 0)])
 
 
 def test_bpr_short_pool_draws_only_from_the_complement():
@@ -489,7 +504,7 @@ def test_kg_negative_constraints_exhaustively():
 def test_kg_negatives_cover_every_triple_when_possible():
     kg = KnowledgeGraph(5, 1, [Triple(0, 0, 1), Triple(2, 0, 3)])
     quads = sample_kg_negatives(kg, np.random.default_rng(0))
-    assert len(quads) == 2
+    assert quads.dtype == np.int64 and quads.shape == (2, 4)
 
 
 def test_kg_negative_small_candidate_pool():
