@@ -217,15 +217,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), backprop)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(np.ascontiguousarray(a.data.T), op="transpose")
-
-    def backprop():
-        _accum(a, np.ascontiguousarray(out.grad.T), owned=True)
-
-    return _finish(out, (a,), backprop)
-
-
 def hstack(*tensors) -> Tensor:
     """Concatenate along columns; row counts must agree."""
     if len(tensors) == 1 and isinstance(tensors[0], (list, tuple)):
@@ -774,16 +765,22 @@ class CheckpointError(InputError):
 
 
 _CKPT_MAGIC = b"KGCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+# after the magic: the version, the model config, the table sizes and the
+# tensor count, little-endian, flags one byte each
+_CKPT_HEADER = "<IIII???IIII"
+_CKPT_FIELDS = ("dim", "local_size", "history_size", "disable_local", "disable_nonlocal",
+                "disable_user_attention", "n_users", "n_entities", "n_relations", "n_params")
 
 
 def save_checkpoint(path, registry: ParamRegistry, meta: dict) -> None:
-    """Write all registered tensors with a fixed-layout little-endian header."""
+    """Write all registered tensors after a fixed-layout header; ``meta``
+    holds every header field but ``n_params``."""
     entries = list(registry.items())
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<IIIIII", _CKPT_VERSION, meta["dim"], meta["n_users"],
-                             meta["n_entities"], meta["n_relations"], len(entries)))
+        fh.write(struct.pack(_CKPT_HEADER, _CKPT_VERSION,
+                             *(meta[f] for f in _CKPT_FIELDS[:-1]), len(entries)))
         for name, t, _ in entries:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
@@ -794,18 +791,16 @@ def save_checkpoint(path, registry: ParamRegistry, meta: dict) -> None:
 
 def read_checkpoint_meta(path) -> dict:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
+        if fh.read(4) != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        header = fh.read(24)
-        if len(header) != 24:
-            raise CheckpointError(f"{path}: checkpoint is truncated")
-        version, dim, n_users, n_entities, n_relations, count = struct.unpack(
-            "<IIIIII", header)
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    return {"dim": dim, "n_users": n_users, "n_entities": n_entities,
-            "n_relations": n_relations, "n_params": count}
+        header = fh.read(struct.calcsize(_CKPT_HEADER))
+    # the version comes first, so a file of another version is named as such
+    version = int.from_bytes(header[:4], "little")
+    if len(header) >= 4 and version != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if len(header) != struct.calcsize(_CKPT_HEADER):
+        raise CheckpointError(f"{path}: checkpoint is truncated")
+    return dict(zip(_CKPT_FIELDS, struct.unpack(_CKPT_HEADER, header)[1:]))
 
 
 def load_checkpoint(path, registry: ParamRegistry) -> dict:
@@ -814,7 +809,7 @@ def load_checkpoint(path, registry: ParamRegistry) -> dict:
     loaded: set[str] = set()
     try:
         with open(path, "rb") as fh:
-            fh.seek(4 + 24)
+            fh.seek(4 + struct.calcsize(_CKPT_HEADER))
             for _ in range(meta["n_params"]):
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode("utf-8")

@@ -8,13 +8,15 @@ Every command writes the effective configuration into its output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import graph
-from .autodiff import NumericError, load_checkpoint, save_checkpoint
+from .autodiff import (CheckpointError, NumericError, load_checkpoint,
+                       read_checkpoint_meta, save_checkpoint)
 from .config import RunConfig, load_config, save_config
 from .evaluation import evaluate
 from .graph import InputError
@@ -49,7 +51,7 @@ def _registry_for(cfg: RunConfig, store, kg):
 
 
 def _checkpoint_meta(cfg: RunConfig, store, kg) -> dict:
-    return {"dim": cfg.d, "n_users": store.user_count,
+    return {**dataclasses.asdict(cfg.model_config()), "n_users": store.user_count,
             "n_entities": kg.entity_count,
             "n_relations": kg.relation_embedding_count}
 
@@ -74,7 +76,7 @@ def cmd_preprocess(args) -> int:
     print(f"relations\t{stats['relations']}")
     print(f"triples\t{stats['triples']}")
     for split in graph.SPLITS:
-        print(f"{split}\t{len(store.pairs(split))}")
+        print(f"{split}\t{stats[split]}")
     return 0
 
 
@@ -114,6 +116,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
+    meta = read_checkpoint_meta(args.checkpoint)
+    for name, value in dataclasses.asdict(cfg.model_config()).items():
+        if meta[name] != value:
+            raise CheckpointError(f"{args.checkpoint}: trained with {name}={meta[name]!r}, "
+                                  f"this run has {name}={value!r}")
     store, kg, item_entities, _ = _load_dataset(args)
     cache = WalkCache.load(args.cache)
     params = _registry_for(cfg, store, kg)

@@ -172,12 +172,6 @@ class KnowledgeGraph:
     def relation_embedding_count(self) -> int:
         return self.relation_count + 1
 
-    def local_context(self, entity: int) -> list:
-        """All (relation, tail) neighbors of ``entity``, both edge directions,
-        sorted."""
-        a, b = self.edge_offsets[entity], self.edge_offsets[entity + 1]
-        return list(zip(self.edge_relations[a:b].tolist(), self.edge_tails[a:b].tolist()))
-
     def neighbors_of(self, entity: int) -> np.ndarray:
         """The distinct neighbor entities of ``entity``, ascending."""
         return self.neighbor_entities[self.neighbor_offsets[entity]:
@@ -227,18 +221,9 @@ class InteractionStore:
         """The split's (user, item) tuples in input order."""
         return list(zip(*self._pairs[split].T.tolist()))
 
-    def all_pairs(self) -> list:
-        out = []
-        for split in SPLITS:
-            out.extend(self.pairs(split))
-        return out
-
     def users_in(self, split: str) -> np.ndarray:
         """The users with at least one pair in the split, ascending."""
         return np.flatnonzero(np.diff(self._offsets[split]))
-
-    def positives(self, user: int, split: str) -> set:
-        return set(self.positive_list(user, split))
 
     def train_position(self, users, items) -> tuple[np.ndarray, np.ndarray]:
         """Where each (user, item) pair sits in ``train_items``, or would be
@@ -455,4 +440,5 @@ def dataset_stats(store: InteractionStore, kg: KnowledgeGraph) -> dict:
         "entities": kg.entity_count,
         "relations": kg.original_relation_count,
         "triples": len(kg.triple_table),
+        **{split: len(store._pairs[split]) for split in SPLITS},
     }

@@ -47,6 +47,13 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def _register_blocks(reg: ParamRegistry, prefix: str, suffixes, value: np.ndarray) -> None:
+    """Register the equal row blocks of one drawn matrix, top first, as
+    prefix + suffix each: the weight of one input of a split affine."""
+    for suffix, block in zip(suffixes, np.split(value, len(suffixes))):
+        reg.register(prefix + suffix, block)
+
+
 def init_params(cfg: ModelConfig, n_users: int, n_entities: int,
                 n_relation_rows: int, rng: np.random.Generator) -> ParamRegistry:
     """Fresh registry: embeddings uniform(-0.05, 0.05), weight matrices
@@ -57,12 +64,12 @@ def init_params(cfg: ModelConfig, n_users: int, n_entities: int,
     reg.register("user_emb", rng.uniform(-0.05, 0.05, size=(n_users, d)))
     reg.register("entity_emb", rng.uniform(-0.05, 0.05, size=(n_entities, d)))
     reg.register("relation_emb", rng.uniform(-0.05, 0.05, size=(n_relation_rows, d)))
-    reg.register("rel_fuse_W", _xavier(rng, 2 * d, d))
-    reg.register("attn_W", _xavier(rng, 2 * d, d))
+    _register_blocks(reg, "rel_fuse_W_", ("r", "t"), _xavier(rng, 2 * d, d))
+    _register_blocks(reg, "attn_W_", ("h", "rt"), _xavier(rng, 2 * d, d))
     reg.register("attn_b", np.zeros((1, d)))
     reg.register("user_proj_W", _xavier(rng, d, d))
     reg.register("user_proj_b", np.zeros((1, d)))
-    reg.register("agg_W", _xavier(rng, 2 * d, d))
+    _register_blocks(reg, "agg_W_", ("h", "c"), _xavier(rng, 2 * d, d))
     reg.register("agg_b", np.zeros((1, d)))
     for name in _GRU_NAMES:
         if name.endswith(("bz", "br", "bc")):
@@ -70,9 +77,10 @@ def init_params(cfg: ModelConfig, n_users: int, n_entities: int,
         else:
             reg.register(name, _xavier(rng, d, d))
     reg.register("gate_w", np.zeros((1, d)))
-    reg.register("hist_attn_w", _xavier(rng, 1, 4 * d))
+    # the drawn (1, 4d) row, as four (d, 1) columns
+    _register_blocks(reg, "hist_attn_w", "1234", _xavier(rng, 1, 4 * d).T)
     reg.register("hist_attn_b", np.zeros((1, 1)))
-    reg.register("user_agg_W", _xavier(rng, 3 * d, d))
+    _register_blocks(reg, "user_agg_W_", ("u", "he", "hf"), _xavier(rng, 3 * d, d))
     reg.register("user_agg_b", np.zeros((1, d)))
     return reg
 
@@ -122,9 +130,9 @@ class ItemStage:
     """
 
     e_h: Tensor                 # (U, d) entity rows
-    p_h: Tensor                 # (U, d) entity half of the aggregate, e_h agg_W[:d] + agg_b
+    p_h: Tensor                 # (U, d) entity half of the aggregate, e_h agg_W_h + agg_b
     feat: Tensor | None         # (U*S, d) neighbor attention features
-    tails: Tensor | None        # (U*S, d) tail half of the aggregate, e_t agg_W[d:]
+    tails: Tensor | None        # (U*S, d) tail half of the aggregate, e_t agg_W_c
     c_nonlocal: Tensor | None   # (U, d) non-local aggregate
     local_size: int             # S
 
@@ -180,10 +188,6 @@ class GraphContextModel:
             return "local"
         return None
 
-    def _weight_rows(self, name: str, start: int, stop: int) -> Tensor:
-        """Rows start..stop-1 of a weight: the block one input half multiplies."""
-        return ad.gather_rows(self.params[name], np.arange(start, stop))
-
     def _user_preferences(self, users) -> Tensor:
         """m_u per user; the all-ones vector when user attention is disabled."""
         if self.cfg.disable_user_attention:
@@ -193,26 +197,25 @@ class GraphContextModel:
                                  self.params["user_proj_b"]))
 
     def _fuse_relation_tails(self, rel_flat, tail_flat) -> tuple[Tensor, Tensor]:
-        """(e_rt, e_t) per pair: [e_r, e_t] rel_fuse_W, with the relation half
-        run once per relation row and gathered."""
-        d = self.cfg.dim
-        relation_half = ad.matmul(self.params["relation_emb"],
-                                  self._weight_rows("rel_fuse_W", 0, d))
-        e_t = ad.gather_rows(self.params["entity_emb"], tail_flat)
+        """(e_rt, e_t) per pair: e_r rel_fuse_W_r + e_t rel_fuse_W_t, with the
+        relation half run once per relation row and gathered."""
+        p = self.params
+        relation_half = ad.matmul(p["relation_emb"], p["rel_fuse_W_r"])
+        e_t = ad.gather_rows(p["entity_emb"], tail_flat)
         e_rt = ad.add(ad.gather_rows(relation_half, rel_flat),
-                      ad.matmul(e_t, self._weight_rows("rel_fuse_W", d, 2 * d)))
+                      ad.matmul(e_t, p["rel_fuse_W_t"]))
         return e_rt, e_t
 
     def _neighbor_rows(self, e_h: Tensor, items: ItemInputs,
                        w_context: Tensor) -> tuple[Tensor, Tensor]:
-        """Attention features tanh([e_h, e_rt] attn_W + attn_b), with the head
-        half run once per item, and tail rows times agg_W[d:], of every item's
-        S neighbors, (U*S, d) each; the raw rows die on return."""
-        d = self.cfg.dim
+        """Attention features tanh(e_h attn_W_h + attn_b + e_rt attn_W_rt), with
+        the head half run once per item, and tail rows times agg_W_c, of every
+        item's S neighbors, (U*S, d) each; the raw rows die on return."""
+        p = self.params
         e_rt, e_t = self._fuse_relation_tails(items.rels.ravel(), items.tails.ravel())
-        head_half = ad.affine(e_h, self._weight_rows("attn_W", 0, d), self.params["attn_b"])
+        head_half = ad.affine(e_h, p["attn_W_h"], p["attn_b"])
         feat = ad.tanh(ad.add(ad.repeat_rows(head_half, items.rels.shape[1]),
-                              ad.matmul(e_rt, self._weight_rows("attn_W", d, 2 * d))))
+                              ad.matmul(e_rt, p["attn_W_rt"])))
         return feat, ad.matmul(e_t, w_context)
 
     def _walk_state(self, items: ItemInputs) -> Tensor:
@@ -229,19 +232,18 @@ class GraphContextModel:
     def item_stage(self, items: ItemInputs, force: str | None = None) -> ItemStage:
         """The user-free half of every item's representation, once per item:
         entity rows, neighbor rows, and the walk-context GRU with its non-local
-        aggregate.  Both aggregates, tanh([e_h, context] agg_W + agg_b), run
-        as tanh(P_h + context agg_W[d:])."""
+        aggregate.  Both aggregates, tanh(e_h agg_W_h + agg_b + context agg_W_c),
+        run as tanh(P_h + context agg_W_c)."""
         mode = self._resolve_force(force)
-        s, d = items.rels.shape[1], self.cfg.dim
         e_h = ad.gather_rows(self.params["entity_emb"], items.entities)
-        p_h = ad.affine(e_h, self._weight_rows("agg_W", 0, d), self.params["agg_b"])
-        w_context = self._weight_rows("agg_W", d, 2 * d)
+        p_h = ad.affine(e_h, self.params["agg_W_h"], self.params["agg_b"])
+        w_context = self.params["agg_W_c"]
         feat = tails = c_nonlocal = None
         if mode != "nonlocal":
             feat, tails = self._neighbor_rows(e_h, items, w_context)
         if mode != "local":
             c_nonlocal = ad.tanh(ad.add(p_h, ad.matmul(self._walk_state(items), w_context)))
-        return ItemStage(e_h, p_h, feat, tails, c_nonlocal, s)
+        return ItemStage(e_h, p_h, feat, tails, c_nonlocal, items.rels.shape[1])
 
     def user_stage(self, stage: ItemStage, user_rows,
                    row_items=None) -> tuple[Tensor, Tensor, Tensor | None]:
@@ -283,36 +285,34 @@ class GraphContextModel:
         return self.user_stage(self.item_stage(items, force=force), [user])
 
     # -- the history head ----------------------------------------------------
-    # Each affine over a concatenation runs as one product per half (w1..w4:
-    # d-wide blocks of hist_attn_w; W_u, W_he, W_hf: d-row blocks of user_agg_W):
+    # Each affine over a concatenation runs as one product per input (w1..w4:
+    # the (d, 1) hist_attn_w1..4; W_u, W_he, W_hf, b_u: user_agg_W_u, _he, _hf
+    # and user_agg_b):
     #   score = e_u·e_h + c_u·fused,  c_u = relu(e_u W_u + b_u + sum_j beta_j V_j),
     #   V_j = e_h,j W_he + fused_j W_hf,  beta = softmax(tanh(a_t + h + b)),
-    #   a_t = e_h w1ᵀ + fused w2ᵀ,  h_j = e_h,j w3ᵀ + fused_j w4ᵀ.
+    #   a_t = e_h w1 + fused w2,  h_j = e_h,j w3 + fused_j w4.
 
-    def _attn_logits(self, e_h: Tensor, fused: Tensor, block: int) -> Tensor:
-        """e_h w_blockᵀ + fused w_(block+1)ᵀ, (R, 1); block 0 is a_t, block 2 is h."""
-        d, w = self.cfg.dim, self.params["hist_attn_w"]
-        return ad.add(
-            ad.matmul(e_h, ad.transpose(ad.slice_cols(w, block * d, (block + 1) * d))),
-            ad.matmul(fused, ad.transpose(ad.slice_cols(w, (block + 1) * d, (block + 2) * d))))
+    def _attn_logits(self, e_h: Tensor, fused: Tensor, first: int) -> Tensor:
+        """e_h w_first + fused w_(first+1), (R, 1); first 1 is a_t, 3 is h."""
+        p = self.params
+        return ad.add(ad.matmul(e_h, p[f"hist_attn_w{first}"]),
+                      ad.matmul(fused, p[f"hist_attn_w{first + 1}"]))
 
     def _user_rows(self, users) -> tuple[Tensor, Tensor]:
         """(e_u, e_u W_u + b_u), one row per user."""
         e_u = ad.gather_rows(self.params["user_emb"], users)
-        w_u = self._weight_rows("user_agg_W", 0, self.cfg.dim)
-        return e_u, ad.affine(e_u, w_u, self.params["user_agg_b"])
+        return e_u, ad.affine(e_u, self.params["user_agg_W_u"], self.params["user_agg_b"])
 
     def _history(self, e_h: Tensor, fused: Tensor, n: int) -> tuple[Tensor, Tensor]:
         """Logits h (H/n, n) of H history rows (the q halves) in groups of n,
         and their value rows V (H, d)."""
-        d = self.cfg.dim
-        logits = ad.reshape(self._attn_logits(e_h, fused, 2), e_h.shape[0] // n, n)
-        return logits, ad.add(ad.matmul(e_h, self._weight_rows("user_agg_W", d, 2 * d)),
-                              ad.matmul(fused, self._weight_rows("user_agg_W", 2 * d, 3 * d)))
+        logits = ad.reshape(self._attn_logits(e_h, fused, 3), e_h.shape[0] // n, n)
+        return logits, ad.add(ad.matmul(e_h, self.params["user_agg_W_he"]),
+                              ad.matmul(fused, self.params["user_agg_W_hf"]))
 
     def _attention(self, e_t: Tensor, f_t: Tensor, logits: Tensor) -> Tensor:
         """beta (T, n); ``logits`` are (T, n), or (1, n) for one shared history."""
-        return ad.softmax_rows(ad.tanh(ad.add(ad.add(self._attn_logits(e_t, f_t, 0), logits),
+        return ad.softmax_rows(ad.tanh(ad.add(ad.add(self._attn_logits(e_t, f_t, 1), logits),
                                               self.params["hist_attn_b"])))
 
     def _head(self, user, e_t: Tensor, f_t: Tensor, history,

@@ -47,6 +47,10 @@ class TrainConfig:
             raise InputError("patience must be >= 0")
         if self.max_batches is not None and self.max_batches < 1:
             raise InputError("max_batches must be unset or >= 1")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise InputError("eta must be finite and > 0")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.lambda1, self.lambda2)):
+            raise InputError("lambda1 and lambda2 must be finite and >= 0")
 
 
 @dataclass

@@ -16,6 +16,59 @@ def gru_run(xs, p):
     return h
 
 
+# each weight that multiplies a concatenation, as its row blocks top first
+CONCAT_BLOCKS = {
+    "rel_fuse_W": ("rel_fuse_W_r", "rel_fuse_W_t"),
+    "attn_W": ("attn_W_h", "attn_W_rt"),
+    "agg_W": ("agg_W_h", "agg_W_c"),
+    "user_agg_W": ("user_agg_W_u", "user_agg_W_he", "user_agg_W_hf"),
+}
+
+
+def stack_rows(params, names):
+    """The parameters ``names`` stacked top to bottom, built differentiably as
+    sum_k E_k W_k with constant 0/1 selectors E_k, so each block's gradient
+    comes back as exactly its own rows of the stack's."""
+    blocks = [params[name] for name in names]
+    total = sum(b.shape[0] for b in blocks)
+    out, start = None, 0
+    for block in blocks:
+        rows = block.shape[0]
+        select = np.zeros((total, rows))
+        select[start:start + rows] = np.eye(rows)
+        term = ad.matmul(ad.constant(select), block)
+        out = term if out is None else ad.add(out, term)
+        start += rows
+    return out
+
+
+def concat_weight(params, name):
+    """A concatenated weight of ``CONCAT_BLOCKS``, stacked from its blocks."""
+    return stack_rows(params, CONCAT_BLOCKS[name])
+
+
+def write_concat(params, name, value):
+    """``params[name].data[...] = value`` for a concatenated weight of
+    ``CONCAT_BLOCKS``: the value, broadcast to the stack, goes into its blocks."""
+    blocks = [params[block] for block in CONCAT_BLOCKS[name]]
+    full = np.empty((sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
+    full[...] = value
+    for block, part in zip(blocks, np.split(full, len(blocks))):
+        block.data[...] = part
+
+
+def local_context(kg, entity):
+    """All (relation, tail) neighbors of ``entity`` in both edge directions,
+    sorted, by brute force over ``kg.triple_table``."""
+    pairs = []
+    for h, r, t in kg.triple_table.tolist():
+        if h == entity:
+            pairs.append((r, t))
+        if t == entity:
+            pairs.append((kg.inverse(r), h))
+    return sorted(pairs)
+
+
 def random_kg(rng, n_entities=None, n_relations=None, n_triples=None):
     n_entities = n_entities or int(rng.integers(3, 13))
     n_relations = n_relations or int(rng.integers(1, 4))

@@ -51,7 +51,6 @@ def test_c1_gradient_suite():
         "sub": (lambda r: ad.sub(r["a"], r["b"]), {"a": (3, 4), "b": (3, 4)}),
         "mul": (lambda r: ad.mul(r["a"], r["b"]), {"a": (3, 4), "b": (3, 1)}),
         "matmul": (lambda r: ad.matmul(r["a"], r["b"]), {"a": (2, 3), "b": (3, 4)}),
-        "transpose": (lambda r: ad.transpose(r["a"]), {"a": (2, 5)}),
         "hstack": (lambda r: ad.hstack(r["a"], r["b"]), {"a": (2, 3), "b": (2, 2)}),
         "slice_cols": (lambda r: ad.slice_cols(r["a"], 1, 3), {"a": (2, 5)}),
         "gather_rows": (lambda r: ad.gather_rows(r["a"], [2, 0, 2]), {"a": (3, 3)}),
@@ -207,8 +206,8 @@ def test_c3c_negative_exclusion_constraints():
     rng = np.random.default_rng(305)
     store = synth.random_store(rng, n_users=8, n_items=12, per_user=5)
     for u, pos, neg in sample_bpr_tuples(store, 5, rng):
-        assert pos in store.positives(u, "train")
-        assert neg not in store.positives(u, "train")
+        assert pos in store.positive_list(u, "train")
+        assert neg not in store.positive_list(u, "train")
     checked = 0
     for _ in range(25):
         kg = synth.random_kg(rng)

@@ -5,6 +5,7 @@ differences (eps = 1e-5, float64) over repeated random draws.
 """
 
 import gc
+import struct
 import weakref
 import zlib
 
@@ -65,7 +66,8 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
     ("mul_broadcast", lambda r: ad.mul(r["a"], r["b"]), {"a": (4, 3), "b": (4, 1)}),
     ("square", lambda r: ad.square(r["a"]), {"a": (2, 3)}),
     ("matmul", lambda r: ad.matmul(r["a"], r["b"]), {"a": (3, 4), "b": (4, 2)}),
-    ("transpose", lambda r: ad.transpose(r["a"]), {"a": (3, 2)}),
+    # the history attention's logits: rows times a (d, 1) weight column
+    ("matmul_column", lambda r: ad.matmul(r["a"], r["b"]), {"a": (3, 4), "b": (4, 1)}),
     ("hstack", lambda r: ad.hstack(r["a"], r["b"]), {"a": (3, 2), "b": (3, 4)}),
     ("slice_cols", lambda r: ad.slice_cols(r["a"], 1, 4), {"a": (3, 5)}),
     ("gather_dup", lambda r: ad.gather_rows(r["a"], [0, 2, 0, 1, 0]), {"a": (3, 4)}),
@@ -557,10 +559,18 @@ def test_adam_trajectories_are_reproducible():
     np.testing.assert_array_equal(run(), run())
 
 
+def _meta(**sizes):
+    """A checkpoint header: the given sizes over a default model config."""
+    return {"dim": 1, "local_size": 4, "history_size": 16, "disable_local": False,
+            "disable_nonlocal": False, "disable_user_attention": False,
+            "n_users": 1, "n_entities": 1, "n_relations": 1, **sizes}
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     reg = _registry_with(rng, {"a": (2, 3), "b": (1, 4)})
-    meta = {"dim": 4, "n_users": 2, "n_entities": 3, "n_relations": 5}
+    meta = _meta(dim=4, local_size=3, history_size=7, disable_nonlocal=True,
+                 n_users=2, n_entities=3, n_relations=5)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, reg, meta)
     saved = reg.snapshot()
@@ -577,8 +587,7 @@ def test_checkpoint_shape_validation(tmp_path):
     rng = np.random.default_rng(33)
     reg = _registry_with(rng, {"a": (2, 3)})
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, reg, {"dim": 1, "n_users": 1, "n_entities": 1,
-                                "n_relations": 1})
+    save_checkpoint(path, reg, _meta())
     other = ParamRegistry()
     other.register("a", np.zeros((3, 2)))
     with pytest.raises(CheckpointError, match="shape"):
@@ -589,8 +598,7 @@ def test_truncated_checkpoint_raises_checkpoint_error_at_every_offset(tmp_path):
     rng = np.random.default_rng(35)
     reg = _registry_with(rng, {"a": (2, 3), "bias": (1, 2)})
     full = tmp_path / "ckpt.bin"
-    save_checkpoint(full, reg, {"dim": 2, "n_users": 1, "n_entities": 1,
-                                "n_relations": 1})
+    save_checkpoint(full, reg, _meta(dim=2))
     data = full.read_bytes()
     cut = tmp_path / "cut.bin"
     for size in range(len(data)):
@@ -599,3 +607,11 @@ def test_truncated_checkpoint_raises_checkpoint_error_at_every_offset(tmp_path):
             load_checkpoint(cut, reg)
     cut.write_bytes(data)
     load_checkpoint(cut, reg)
+
+
+def test_version_one_checkpoint_is_rejected_by_version(tmp_path):
+    """Version 1 stored the concatenated weights and no model config."""
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"KGCK" + struct.pack("<IIIIII", 1, 4, 2, 3, 5, 0))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path, ParamRegistry())

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests through the command-line interface."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ FAST_TRAIN = [
     "--set", "eta=0.005", "--set", "B=32", "--set", "n_neg=2",
     "--set", "epochs=2", "--set", "eval_every=2", "--set", "K=5,10,20",
 ]
+
+
+def _checkpoint_meta(store, kg, cfg=ModelConfig()):
+    return {**dataclasses.asdict(cfg), "n_users": store.user_count,
+            "n_entities": kg.entity_count, "n_relations": kg.relation_embedding_count}
 
 
 @pytest.fixture()
@@ -196,7 +202,9 @@ def test_negative_seed_exits_one(pipeline):
 
 
 @pytest.mark.parametrize("setting", ["B=0", "n_neg=0", "eval_every=0", "epochs=0",
-                                     "patience=-1", "max_batches=0"])
+                                     "patience=-1", "max_batches=0", "eta=0", "eta=-1",
+                                     "eta=nan", "lambda1=-1", "lambda1=nan",
+                                     "lambda2=inf"])
 def test_train_setting_out_of_range_exits_one(pipeline, capsys, setting):
     tmp_path, dataset, cache = pipeline
     capsys.readouterr()
@@ -209,7 +217,10 @@ def test_train_setting_out_of_range_exits_one(pipeline, capsys, setting):
 def test_corrupt_checkpoint_exits_one(pipeline):
     tmp_path, dataset, cache = pipeline
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"KGCK" + b"\x01\x00\x00\x00" * 6 + b"\x99")
+    # a version-2 header of the default model config, then a cut-off tensor
+    bad.write_bytes(b"KGCK" + struct.pack("<I", 2)
+                    + struct.pack("<III???IIII", 32, 4, 16, False, False, False, 1, 1, 1, 1)
+                    + b"\x99")
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(bad), "--split", "test"])
     assert code == 1
@@ -218,10 +229,43 @@ def test_corrupt_checkpoint_exits_one(pipeline):
 def test_truncated_checkpoint_header_exits_one(pipeline):
     tmp_path, dataset, cache = pipeline
     bad = tmp_path / "short.bin"
-    bad.write_bytes(b"KGCK" + b"\x01\x00\x00\x00" * 3)
+    bad.write_bytes(b"KGCK" + struct.pack("<III", 2, 32, 4))
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(bad), "--split", "test"])
     assert code == 1
+
+
+def test_version_one_checkpoint_exits_one(pipeline, capsys):
+    tmp_path, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    old = tmp_path / "v1.bin"
+    old.write_bytes(b"KGCK" + struct.pack("<IIIIII", 1, 32, store.user_count, kg.entity_count,
+                                          kg.relation_embedding_count, 0))
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(old), "--split", "test"])
+    assert code == 1
+    assert "version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, trained, run", [
+    ("S=2", "local_size=4", "local_size=2"),
+    ("N=3", "history_size=16", "history_size=3"),
+    ("disable_local=true", "disable_local=False", "disable_local=True"),
+])
+def test_evaluate_with_other_model_config_exits_one(pipeline, capsys, setting, trained, run):
+    tmp_path, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    params = init_params(ModelConfig(), store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, np.random.default_rng(0))
+    ckpt = tmp_path / "init.bin"
+    save_checkpoint(ckpt, params, _checkpoint_meta(store, kg))
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(ckpt), "--split", "test", "--set", setting])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and trained in err and run in err
 
 
 def test_non_finite_evaluation_exits_two(pipeline):
@@ -230,11 +274,9 @@ def test_non_finite_evaluation_exits_two(pipeline):
     params = init_params(ModelConfig(), store.user_count, kg.entity_count,
                          kg.relation_embedding_count, np.random.default_rng(0))
     params["user_emb"].data[...] = 1.0
-    params["user_agg_W"].data[...] = 1e308
+    synth.write_concat(params, "user_agg_W", 1e308)
     ckpt = tmp_path / "overflow.bin"
-    save_checkpoint(ckpt, params, {"dim": 32, "n_users": store.user_count,
-                                   "n_entities": kg.entity_count,
-                                   "n_relations": kg.relation_embedding_count})
+    save_checkpoint(ckpt, params, _checkpoint_meta(store, kg))
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(ckpt), "--split", "test"])
     assert code == 2
@@ -246,9 +288,7 @@ def test_evaluate_with_cache_of_other_item_count_exits_one(pipeline, tmp_path):
     params = init_params(ModelConfig(), store.user_count, kg.entity_count,
                          kg.relation_embedding_count, np.random.default_rng(0))
     ckpt = tmp_path / "init.bin"
-    save_checkpoint(ckpt, params, {"dim": 32, "n_users": store.user_count,
-                                   "n_entities": kg.entity_count,
-                                   "n_relations": kg.relation_embedding_count})
+    save_checkpoint(ckpt, params, _checkpoint_meta(store, kg))
     for delta in (-1, 1):
         walks = WalkCache.load(cache)
         contexts = walks.contexts[:delta] if delta < 0 else walks.contexts + walks.contexts[:1]

@@ -125,7 +125,7 @@ def test_evaluation_aborts_on_non_finite_scores():
     ranking NaN scores."""
     kg, model, params, cfg, items, _, cache = _world(11)
     params["user_emb"].data[...] = 1.0
-    params["user_agg_W"].data[...] = 1e308
+    synth.write_concat(params, "user_agg_W", 1e308)
     store = InteractionStore(4, 8, {"train": [(0, 0), (1, 1)],
                                     "test": [(0, 2), (1, 3)]})
     with pytest.raises(NumericError, match="matmul"):

@@ -103,8 +103,8 @@ def test_single_triple_builds_symmetric_adjacency(tmp_path):
     kg, item_entities, maps = _load_single_triple(tmp_path)
     a, b = maps.dense("entity", "a"), maps.dense("entity", "b")
     r = maps.dense("relation", "r")
-    assert kg.local_context(a) == [(r, b)]
-    assert kg.local_context(b) == [(kg.inverse(r), a)]
+    assert _edge_row(kg, a) == [(r, b)]
+    assert _edge_row(kg, b) == [(kg.inverse(r), a)]
     assert kg.relation_count == 2
     assert item_entities.tolist() == [a]
 
@@ -112,7 +112,7 @@ def test_single_triple_builds_symmetric_adjacency(tmp_path):
 def test_repeated_triples_stored_once():
     kg = KnowledgeGraph(2, 1, [Triple(0, 0, 1), Triple(0, 0, 1)])
     assert len(kg.triples) == 1
-    assert kg.local_context(0) == [(0, 1)]
+    assert _edge_row(kg, 0) == [(0, 1)]
 
 
 def test_self_relation_is_reserved_past_inverses():
@@ -181,19 +181,25 @@ def test_lastfm_kg_statistics():
 # ---------------------------------------------------------------------------
 
 
+def _edge_row(kg, entity):
+    """The (relation, tail) pairs of ``entity``'s row of the edge CSR arrays."""
+    a, b = kg.edge_offsets[entity], kg.edge_offsets[entity + 1]
+    return list(zip(kg.edge_relations[a:b].tolist(), kg.edge_tails[a:b].tolist()))
+
+
 def test_local_context_on_chain():
     kg = synth.chain_kg()
-    assert kg.local_context(1) == [(0, 2), (kg.inverse(0), 0)]
+    assert _edge_row(kg, 1) == [(0, 2), (kg.inverse(0), 0)]
 
 
 def test_local_context_isolated_entity():
     kg = KnowledgeGraph(3, 1, [Triple(0, 0, 1)])
-    assert kg.local_context(2) == []
+    assert _edge_row(kg, 2) == []
 
 
 def test_local_context_star_center():
     kg = synth.star_kg(5)
-    assert len(kg.local_context(0)) == 5
+    assert len(_edge_row(kg, 0)) == 5
 
 
 @settings(max_examples=50, deadline=None)
@@ -205,6 +211,15 @@ def test_bidirectional_closure(raw_triples):
         for t in kg.neighbors_of(h):
             assert kg.is_neighbor(int(t), h)
             assert kg.is_neighbor(h, int(t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7)),
+                max_size=30))
+def test_edge_rows_match_brute_force(raw_triples):
+    kg = KnowledgeGraph(8, 3, raw_triples)
+    for entity in range(8):
+        assert _edge_row(kg, entity) == synth.local_context(kg, entity)
 
 
 @settings(max_examples=50, deadline=None)
@@ -257,7 +272,7 @@ def test_split_partitions_all_interactions(n, seed):
     pairs = [(j % 7, j) for j in range(n)]
     store = InteractionStore.unsplit(pairs, 7, n)
     split = split_interactions(store, (0.6, 0.2, 0.2), seed=seed)
-    rebuilt = sorted(split.all_pairs())
+    rebuilt = sorted(p for s in ("train", "valid", "test") for p in split.pairs(s))
     assert rebuilt == sorted(pairs)
     sizes = [len(split.pairs(s)) for s in ("train", "valid", "test")]
     assert sum(sizes) == n
@@ -312,7 +327,8 @@ def test_dataset_directory_round_trip(tmp_path):
     assert store2.pairs("train") == store.pairs("train")
     assert store2.pairs("test") == store.pairs("test")
     assert kg2.entity_count == kg.entity_count
-    assert all(kg2.local_context(e) == kg.local_context(e) for e in range(kg.entity_count))
+    for table in ("edge_offsets", "edge_relations", "edge_tails"):
+        np.testing.assert_array_equal(getattr(kg2, table), getattr(kg, table))
     assert item_entities2.tolist() == [0, 1, 2]
     assert maps2.raw("entity", 9) == "entity9"
     stats = dataset_stats(store2, kg2)
@@ -333,7 +349,7 @@ def test_empty_split_file_loads_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         loaded, *_ = load_dataset(tmp_path / "ds")
     assert loaded.pairs("valid") == [] and loaded.pairs("test") == [(0, 1)]
-    assert loaded.positives(1, "train") == {2}
+    assert loaded.positive_list(1, "train") == [2]
 
 
 @pytest.mark.parametrize("name, text", [
@@ -363,7 +379,7 @@ def test_reingestion_is_bit_identical(tmp_path):
     p2 = _write(tmp_path / "b.tsv", text)
     s1, m1 = load_interactions(p1)
     s2, m2 = load_interactions(p2)
-    assert s1.all_pairs() == s2.all_pairs()
+    assert all(s1.pairs(s) == s2.pairs(s) for s in ("train", "valid", "test"))
     assert all(m1.raw("user", j) == m2.raw("user", j) for j in range(2))
 
 
@@ -376,7 +392,6 @@ def test_positives_match_brute_force_on_every_split():
     for split in ("train", "valid", "test"):
         for user in range(8):
             expected = {i for u, i in store.pairs(split) if u == user}
-            assert store.positives(user, split) == expected
             assert store.positive_list(user, split) == sorted(expected)
         users = store.users_in(split)
         assert users.dtype == np.int64

@@ -1,5 +1,6 @@
 """Scoring-function tests: attention laws, context fusion, ablations, gradients."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from kgrec.autodiff import finite_difference_check
 from kgrec.evaluation import FastScorer
 from kgrec.graph import InputError
 from kgrec.model import (GraphContextModel, ItemContext, ItemInputs, ModelConfig,
-                         PairBatch, ScoreContext)
+                         PairBatch, ScoreContext, init_params)
 from kgrec.sampling import reverse_pad, sample_kg_negatives, substream
 from kgrec.training import TrainConfig, total_objective
 
@@ -29,6 +30,35 @@ def test_model_config_validation():
         ModelConfig(disable_local=True, disable_nonlocal=True)
 
 
+# The seed-0 init of a dim-4 model over 3 users, 5 entities and 4 relation
+# rows, with every weight block stacked back into one tensor: sha256 over each
+# tensor's name and little-endian float64 values, in this order.
+_INIT_SHA256 = "a440166998ffa1942b17b8c7bacf2bc6b63c9bd72186136ce91c7d8d4e9c61f2"
+_STACKED_INIT_ORDER = (
+    "user_emb", "entity_emb", "relation_emb", "rel_fuse_W", "attn_W", "attn_b",
+    "user_proj_W", "user_proj_b", "agg_W", "agg_b", "gru_wz", "gru_uz", "gru_bz",
+    "gru_wr", "gru_ur", "gru_br", "gru_wc", "gru_uc", "gru_bc", "gate_w",
+    "hist_attn_w", "hist_attn_b", "user_agg_W", "user_agg_b")
+
+
+def test_init_stream_is_pinned():
+    """The blocks of a split affine are cut from one draw of the full matrix,
+    so the init stream and every initial value stay as pinned."""
+    params = init_params(ModelConfig(dim=4), 3, 5, 4, substream(0, "init"))
+    assert len(params.names()) == 32
+    digest = hashlib.sha256()
+    for name in _STACKED_INIT_ORDER:
+        if name in synth.CONCAT_BLOCKS:
+            value = synth.concat_weight(params, name).data
+        elif name == "hist_attn_w":   # one (1, 4d) row of the four (d, 1) columns
+            value = synth.stack_rows(params, [f"hist_attn_w{k}" for k in range(1, 5)]).data.T
+        else:
+            value = params[name].data
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(value).astype("<f8").tobytes())
+    assert digest.hexdigest() == _INIT_SHA256
+
+
 # ---------------------------------------------------------------------------
 # relation fusion
 # ---------------------------------------------------------------------------
@@ -38,14 +68,14 @@ def test_relation_fuse_block_identity_passes_relation_through():
     (kg, model, params, cfg, _), rng = _setup(1)
     d = cfg.dim
     block = np.vstack([np.eye(d), np.zeros((d, d))])
-    params["rel_fuse_W"].data[...] = block
+    synth.write_concat(params, "rel_fuse_W", block)
     fused = model.relation_fuse([2], [3]).data
     np.testing.assert_allclose(fused, params["relation_emb"].data[2:3], atol=0)
 
 
 def test_relation_fuse_zero_weight_gives_zero():
     (kg, model, params, cfg, _), _ = _setup(2)
-    params["rel_fuse_W"].data[...] = 0.0
+    synth.write_concat(params, "rel_fuse_W", 0.0)
     assert (model.relation_fuse([0], [1]).data == 0).all()
 
 
@@ -53,7 +83,7 @@ def test_relation_fuse_gradient():
     (kg, model, params, cfg, _), rng = _setup(3)
     err = finite_difference_check(
         lambda: ad.sum_all(model.relation_fuse([1, 0], [2, 4])),
-        params, names=["rel_fuse_W", "relation_emb", "entity_emb"],
+        params, names=["rel_fuse_W_r", "rel_fuse_W_t", "relation_emb", "entity_emb"],
         eps=1e-5, max_coords=10, rng=rng)
     assert err < 1e-6
 
@@ -128,10 +158,10 @@ def test_attention_concentrates_with_saturated_scores():
     # craft one dominant neighbor: huge relation embedding + aligned projections
     params["user_proj_W"].data[...] = 0.0
     params["user_proj_b"].data[...] = 5.0          # m_u large: widens score gaps
-    params["attn_W"].data[...] = 0.0
-    params["attn_W"].data[d:, :] = 40.0            # score follows fused features
-    params["rel_fuse_W"].data[...] = 0.0
-    params["rel_fuse_W"].data[:d, :] = np.eye(d)   # fused = relation embedding
+    params["attn_W_h"].data[...] = 0.0
+    params["attn_W_rt"].data[...] = 40.0           # score follows fused features
+    params["rel_fuse_W_r"].data[...] = np.eye(d)   # fused = relation embedding
+    params["rel_fuse_W_t"].data[...] = 0.0
     params["relation_emb"].data[...] = 0.0
     params["relation_emb"].data[0, :] = 1.0        # relation 0 dominates
     alpha = model.user_attention(0, 4, [(0, 1), (1, 2), (1, 3)]).data
@@ -141,7 +171,7 @@ def test_attention_concentrates_with_saturated_scores():
     c = model.local_embedding(0, 4, [(0, 1), (1, 2), (1, 3)]).data
     e_h = params["entity_emb"].data[4:5]
     expected = np.tanh(np.concatenate([e_h, e_local_limit[None, :]], axis=1)
-                       @ params["agg_W"].data + params["agg_b"].data)
+                       @ synth.concat_weight(params, "agg_W").data + params["agg_b"].data)
     np.testing.assert_allclose(c, expected, atol=1e-3)
 
 
@@ -158,7 +188,7 @@ def test_nonlocal_consumes_context_in_reverse():
     xs = [ad.gather_rows(ent, [7]), ad.gather_rows(ent, [3])]  # reversed feed
     h = synth.gru_run(xs, model.gru)
     expected = ad.tanh(ad.affine(ad.hstack(ad.gather_rows(ent, [1]), h),
-                                 params["agg_W"], params["agg_b"])).data
+                                 synth.concat_weight(params, "agg_W"), params["agg_b"])).data
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
@@ -174,8 +204,8 @@ def test_nonlocal_empty_context_closed_form():
     got = model.nonlocal_embedding(2, ()).data
     e_h = params["entity_emb"].data[2:3]
     zeros = np.zeros((1, cfg.dim))
-    expected = np.tanh(np.concatenate([e_h, zeros], axis=1) @ params["agg_W"].data
-                       + params["agg_b"].data)
+    expected = np.tanh(np.concatenate([e_h, zeros], axis=1)
+                       @ synth.concat_weight(params, "agg_W").data + params["agg_b"].data)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -276,7 +306,8 @@ def test_empty_history_uses_zero_context():
     p_u = model.interaction_context(1, q_i, []).data
     e_u = params["user_emb"].data[1:2]
     zeros = np.zeros((1, 2 * cfg.dim))
-    c_u = np.maximum(np.concatenate([e_u, zeros], axis=1) @ params["user_agg_W"].data
+    c_u = np.maximum(np.concatenate([e_u, zeros], axis=1)
+                     @ synth.concat_weight(params, "user_agg_W").data
                      + params["user_agg_b"].data, 0.0)
     np.testing.assert_array_equal(p_u, np.concatenate([e_u, c_u], axis=1))
 
@@ -428,19 +459,22 @@ def _concat_relation_fuse(model, rels, tails):
     """[e_r, e_t] rel_fuse_W over a per-pair hstack."""
     p = model.params
     return ad.matmul(ad.hstack(ad.gather_rows(p["relation_emb"], rels),
-                               ad.gather_rows(p["entity_emb"], tails)), p["rel_fuse_W"])
+                               ad.gather_rows(p["entity_emb"], tails)),
+                     synth.concat_weight(p, "rel_fuse_W"))
 
 
 def _concat_q(model, items, user_rows, row_items, force=None):
     """q rows (R, 2d) as the concatenated forward builds them: neighbor
     features tanh([e_h, e_rt] attn_W + attn_b) with e_rt = [e_r, e_t]
     rel_fuse_W, each aggregate tanh([e_h, context] agg_W + agg_b), all over
-    per-row hstacks, and q = e_h || fused."""
+    per-row hstacks, and q = e_h || fused.  Each concatenated weight is
+    stacked from its blocks."""
     p = model.params
     mode = model._resolve_force(force)
 
     def aggregate(e, context):
-        return ad.tanh(ad.affine(ad.hstack(e, context), p["agg_W"], p["agg_b"]))
+        return ad.tanh(ad.affine(ad.hstack(e, context), synth.concat_weight(p, "agg_W"),
+                                 p["agg_b"]))
 
     e_h = ad.gather_rows(p["entity_emb"], items.entities)
     e_rows = ad.gather_rows(e_h, row_items)
@@ -449,7 +483,7 @@ def _concat_q(model, items, user_rows, row_items, force=None):
         s = items.rels.shape[1]
         e_rt = _concat_relation_fuse(model, items.rels.ravel(), items.tails.ravel())
         feat = ad.tanh(ad.affine(ad.hstack(ad.repeat_rows(e_h, s), e_rt),
-                                 p["attn_W"], p["attn_b"]))
+                                 synth.concat_weight(p, "attn_W"), p["attn_b"]))
         users, index = np.unique(user_rows, return_inverse=True)
         alpha = ad.neighbor_softmax(feat, model._user_preferences(users), row_items, index, s)
         e_t = ad.gather_rows(p["entity_emb"], items.tails.ravel())
@@ -469,27 +503,27 @@ def _concat_q(model, items, user_rows, row_items, force=None):
 
 
 def _concat_head(model, users, q_t, q_hist, n, mask=None):
-    """Scores (T, 1) of the concatenated head: beta from [a_t, h] = q w,
-    e_hist = sum_j beta_j q_j, c_u = relu([e_u, e_hist] W + b) and
-    score = (e_u || c_u)·q.  ``q_hist`` holds one shared history of n rows,
-    or n rows per target when ``mask`` is given; None means no history."""
+    """Scores (T, 1) of the concatenated head: beta from a_t = q_t [w1; w2]
+    and h = q_j [w3; w4], e_hist = sum_j beta_j q_j, c_u = relu([e_u, e_hist]
+    W + b) and score = (e_u || c_u)·q.  ``q_hist`` holds one shared history of
+    n rows, or n rows per target when ``mask`` is given; None means no history."""
     p, d2 = model.params, 2 * model.cfg.dim
-    w = p["hist_attn_w"]
     e_u = ad.gather_rows(p["user_emb"], users)
     t = q_t.shape[0]
     if q_hist is None:
         e_hist = ad.constant(np.zeros((t, d2)))
     else:
-        h = ad.reshape(ad.matmul(q_hist, ad.transpose(ad.slice_cols(w, d2, 2 * d2))),
+        h = ad.reshape(ad.matmul(q_hist, synth.stack_rows(p, ["hist_attn_w3", "hist_attn_w4"])),
                        q_hist.shape[0] // n, n)
-        a_t = ad.matmul(q_t, ad.transpose(ad.slice_cols(w, 0, d2)))
+        a_t = ad.matmul(q_t, synth.stack_rows(p, ["hist_attn_w1", "hist_attn_w2"]))
         beta = ad.softmax_rows(ad.tanh(ad.add(ad.add(a_t, h), p["hist_attn_b"])))
         if mask is None:
             e_hist = ad.matmul(beta, q_hist)
         else:
             weighted = ad.mul(ad.reshape(beta, t * n, 1), q_hist)
             e_hist = ad.mul(ad.sum_row_groups(weighted, n), mask)
-    c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), p["user_agg_W"], p["user_agg_b"]))
+    c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), synth.concat_weight(p, "user_agg_W"),
+                            p["user_agg_b"]))
     return ad.row_sums(ad.mul(ad.hstack(e_u, c_u), q_t))
 
 

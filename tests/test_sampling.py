@@ -46,7 +46,7 @@ def test_walk_config_validation():
 def test_sample_exact_degree_returns_all_neighbors():
     kg = synth.star_kg(4)
     rels, tails = sample_local_neighbors(kg, [0], 4, np.random.default_rng(0))
-    assert sorted(zip(rels[0].tolist(), tails[0].tolist())) == kg.local_context(0)
+    assert sorted(zip(rels[0].tolist(), tails[0].tolist())) == synth.local_context(kg, 0)
 
 
 def test_sample_with_replacement_when_degree_short():
@@ -105,7 +105,7 @@ def test_neighbor_inclusion_frequencies_match_size_over_degree():
     rels, tails = sample_local_neighbors(kg, entities, s, np.random.default_rng(91))
     assert rels.shape == tails.shape == (4 * rows, s)
     for entity in (0, 41):
-        pairs = kg.local_context(entity)
+        pairs = synth.local_context(kg, entity)
         mine = entities == entity
         for r_row, t_row in zip(rels[mine], tails[mine]):
             drawn = list(zip(r_row.tolist(), t_row.tolist()))
@@ -418,7 +418,7 @@ def test_bpr_negatives_never_hit_train_positives():
     rng = np.random.default_rng(14)
     store = synth.random_store(rng, n_users=6, n_items=9, per_user=4)
     for u, _, neg in sample_bpr_tuples(store, 5, rng):
-        assert neg not in store.positives(u, "train")
+        assert neg not in store.positive_list(u, "train")
 
 
 def test_bpr_negatives_distinct_when_pool_allows():

@@ -79,7 +79,7 @@ def test_kg_distance_zero_when_fused_equals_head():
     kg, model, params, cfg, items = synth.random_model_setup(rng, dim=3)
     d = cfg.dim
     # fused = tail embedding block; make tail embedding equal the head's
-    params["rel_fuse_W"].data[...] = np.vstack([np.zeros((d, d)), np.eye(d)])
+    synth.write_concat(params, "rel_fuse_W", np.vstack([np.zeros((d, d)), np.eye(d)]))
     params["entity_emb"].data[1] = params["entity_emb"].data[0]
     assert kg_distance(model, 0, 0, 1).item() == pytest.approx(0.0, abs=1e-15)
 
@@ -99,7 +99,7 @@ def test_kg_distance_hand_computed_example():
     params["entity_emb"].data[0] = [1.0, 2.0]
     params["relation_emb"].data[0] = [0.5, -1.0]
     params["entity_emb"].data[1] = [3.0, 0.25]
-    params["rel_fuse_W"].data[...] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
+    synth.write_concat(params, "rel_fuse_W", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
     # fused = (0.5*1 - 1*0 + 3*1 + 0.25*0, 0.5*0 - 1*1 + 3*1 + 0.25*1) = (3.5, 2.25)
     # head - fused = (-2.5, -0.25) -> squared norm 6.3125
     assert kg_distance(model, 0, 0, 1).item() == pytest.approx(6.3125, abs=1e-12)
@@ -129,7 +129,8 @@ def test_kg_loss_gradient():
     kg, model, params, cfg, items = synth.random_model_setup(rng, dim=4, scale=3.0)
     quads = [(0, 0, 1, 5), (2, 1, 3, 7)]
     err = finite_difference_check(lambda: kg_loss(model, quads), params,
-                                  names=["entity_emb", "relation_emb", "rel_fuse_W"],
+                                  names=["entity_emb", "relation_emb", "rel_fuse_W_r",
+                                         "rel_fuse_W_t"],
                                   eps=1e-5, max_coords=10, rng=rng)
     assert err < 1e-4
 
@@ -341,7 +342,10 @@ def test_no_drawable_ranking_tuple_is_an_input_error():
 
 @pytest.mark.parametrize("setting", [{"batch_size": 0}, {"n_neg": 0}, {"epochs": 0},
                                      {"eval_every": 0}, {"patience": -1},
-                                     {"max_batches": 0}])
+                                     {"max_batches": 0}, {"eta": 0.0}, {"eta": -1.0},
+                                     {"eta": math.nan}, {"eta": math.inf},
+                                     {"lambda1": -1.0}, {"lambda1": math.nan},
+                                     {"lambda2": -1e-9}, {"lambda2": math.inf}])
 def test_train_config_rejects_out_of_range_settings(setting):
     with pytest.raises(InputError):
         TrainConfig(**setting)
@@ -363,7 +367,7 @@ def test_numeric_abort_names_epoch_batch_and_op():
                          kg.relation_embedding_count, substream(0, "init"))
     # the user aggregation overflows in the first batch's forward
     params["user_emb"].data[...] = 1.0
-    params["user_agg_W"].data[...] = 1e308
+    synth.write_concat(params, "user_agg_W", 1e308)
     tcfg = TrainConfig(batch_size=16, n_neg=1, epochs=2, seed=3)
     with pytest.raises(ad.NumericError,
                        match=r"^epoch 1 batch 1: op 'matmul' produced non-finite values$"):
