@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import warnings
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,13 +64,23 @@ class IdMaps:
     @classmethod
     def load(cls, path) -> "IdMaps":
         maps = cls()
-        for lineno, fields in _read_tsv(path, 3):
-            ns, raw, idx = fields
-            if ns not in _NAMESPACES:
-                raise InputError(f"{path}:{lineno}: unknown namespace {ns!r}")
-            got = maps.intern(ns, raw)
-            if got != int(idx):
-                raise InputError(f"{path}:{lineno}: non-contiguous index for {raw!r}")
+        tables = maps._to_dense
+        # one pass over the lines of one read; a name's index is its place
+        # in its namespace, so each table's keys are its raw list.  A line
+        # that names a namespace is neither blank nor a comment
+        for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+            fields = line.split("\t")
+            table = tables.get(fields[0]) if len(fields) == 3 else None
+            if table is None:
+                if not line.strip() or line.startswith("#"):
+                    continue
+                if len(fields) != 3:
+                    raise InputError(f"{path}:{lineno}: expected 3 tab-separated fields, "
+                                     f"got {len(fields)}")
+                raise InputError(f"{path}:{lineno}: unknown namespace {fields[0]!r}")
+            if table.setdefault(fields[1], len(table)) != int(fields[2]):
+                raise InputError(f"{path}:{lineno}: non-contiguous index for {fields[1]!r}")
+        maps._to_raw = {ns: list(table) for ns, table in tables.items()}
         return maps
 
 
@@ -91,11 +102,10 @@ def _int_rows(rows, width: int) -> np.ndarray:
     return table
 
 
-def _run_starts(*columns) -> np.ndarray:
-    """True for each row of the sorted columns that differs from the row
-    before it."""
-    starts = np.ones(len(columns[0]), dtype=bool)
-    starts[1:] = np.any([np.diff(c) != 0 for c in columns], axis=0)
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True for each entry of the sorted keys that differs from the one before it."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
     return starts
 
 
@@ -119,34 +129,41 @@ class KnowledgeGraph:
         self.entity_count = int(entity_count)
         self.original_relation_count = int(original_relation_count)
         self.relation_count = 2 * self.original_relation_count
+        n = self.entity_count
+        if n * n * self.relation_count >= 2**63:
+            raise InputError(f"a graph of {n} entities and {self.original_relation_count} "
+                             "relations is too large to index")
         table = _int_rows(triples, 3)
         h, r, t = table.T
-        bad = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= self.entity_count) \
+        bad = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= n) \
             | (r < 0) | (r >= self.original_relation_count)
         if bad.any():
             raise InputError(f"triple {Triple(*table[int(np.argmax(bad))].tolist())} out of range")
-        # the first of every run of equal triples, in input order (lexsort is stable)
-        order = np.lexsort((t, r, h))
-        kept = np.sort(order[_run_starts(h[order], r[order], t[order])])
+        # an in-range edge (head, relation, tail) is the int64 key
+        # (head * 2R + relation) * E + tail, ordered as the tuples are; the
+        # first of every run of equal triples is kept, in input order (the
+        # sort is stable)
+        keys = (h * self.relation_count + r) * n + t
+        order = np.argsort(keys, kind="stable")
+        kept = np.sort(order[_run_starts(keys[order])])
         self.triple_table = table[kept]
 
         # CSR adjacency over both edge directions: entity e's (relation, tail)
         # pairs are edge_relations/edge_tails[edge_offsets[e]:edge_offsets[e+1]],
         # sorted by (relation, tail); its distinct neighbor entities are
-        # neighbor_entities[neighbor_offsets[e]:neighbor_offsets[e+1]], ascending
+        # neighbor_entities[neighbor_offsets[e]:neighbor_offsets[e+1]], ascending.
+        # No two edges share a key, so sorting the keys alone orders them
         h, r, t = h[kept], r[kept], t[kept]
-        heads = np.concatenate([h, t])
-        rels = np.concatenate([r, r + self.original_relation_count])
-        tails = np.concatenate([t, h])
-        order = np.lexsort((tails, rels, heads))
+        inverse = (t * self.relation_count + r + self.original_relation_count) * n + h
+        edges = np.sort(np.concatenate([keys[kept], inverse]))
+        heads, tails = edges // (self.relation_count * n), edges % n
         self.edge_offsets = self._offsets(heads)
-        self.edge_relations = rels[order]
-        self.edge_tails = tails[order]
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
-        distinct = _run_starts(heads, tails)
-        self.neighbor_offsets = self._offsets(heads[distinct])
-        self.neighbor_entities = tails[distinct]
+        self.edge_relations = edges // n % self.relation_count
+        self.edge_tails = tails
+        pairs = np.sort(heads * n + tails)
+        distinct = pairs[_run_starts(pairs)]
+        self.neighbor_offsets = self._offsets(distinct // n)
+        self.neighbor_entities = distinct % n
 
     @property
     def triples(self) -> list:
@@ -158,6 +175,14 @@ class KnowledgeGraph:
         """(entity_count + 1,) CSR offsets of rows grouped by ascending head."""
         counts = np.bincount(heads, minlength=self.entity_count)
         return np.concatenate([[0], np.cumsum(counts)])
+
+    @cached_property
+    def closed_neighborhood_keys(self) -> np.ndarray:
+        """Every entity's closed neighborhood N(e) + {e}, as sorted keys
+        e * entity_count + x; built on first use and kept."""
+        n = self.entity_count
+        owners = np.repeat(np.arange(n), np.diff(self.neighbor_offsets))
+        return np.union1d(owners * n + self.neighbor_entities, np.arange(n) * (n + 1))
 
     def inverse(self, relation: int) -> int:
         if not 0 <= relation < self.original_relation_count:
@@ -245,23 +270,28 @@ class InteractionStore:
         return sum(len(p) for p in self._pairs.values())
 
 
-def _read_tsv(path, n_fields: int):
-    """Yield (lineno, fields) for non-blank, non-comment lines."""
+def _read_text(path) -> str:
+    """The whole UTF-8 file, newlines translated as text mode does."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise InputError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}")
-            yield lineno, fields
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_tsv(path, n_fields: int):
+    """Yield (lineno, fields) for non-blank, non-comment lines."""
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise InputError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}")
+        yield lineno, fields
 
 
 def load_interactions(path, threshold: float | None = None):

@@ -156,6 +156,7 @@ def nonlocal_context(kg: KnowledgeGraph, root: int, cfg: WalkConfig,
 
 _CACHE_MAGIC = b"KGWC"
 _CACHE_VERSION = 1
+_CACHE_HEADER = "<IIIQdII"
 
 
 def reverse_pad(contexts, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +201,7 @@ class WalkCache:
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<IIIQdII", _CACHE_VERSION, self.item_count,
+            fh.write(struct.pack(_CACHE_HEADER, _CACHE_VERSION, self.item_count,
                                  self.context_size, self.seed, self.gamma,
                                  self.num_walks, self.walk_length))
             for item, ctx in enumerate(self.contexts):
@@ -209,27 +210,42 @@ class WalkCache:
 
     @classmethod
     def load(cls, path) -> "WalkCache":
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if data[:4] != _CACHE_MAGIC:
+            raise InputError(f"{path}: not a walk cache file")
+        body = 4 + struct.calcsize(_CACHE_HEADER)
         try:
-            with open(path, "rb") as fh:
-                magic = fh.read(4)
-                if magic != _CACHE_MAGIC:
-                    raise InputError(f"{path}: not a walk cache file")
-                header = fh.read(struct.calcsize("<IIIQdII"))
-                version, item_count, context_size, seed, gamma, num_walks, \
-                    walk_length = struct.unpack("<IIIQdII", header)
-                if version != _CACHE_VERSION:
-                    raise InputError(f"{path}: unsupported cache version {version}")
-                contexts = [None] * item_count
-                for _ in range(item_count):
-                    item, length = struct.unpack("<II", fh.read(8))
-                    ctx = np.frombuffer(fh.read(4 * length), dtype="<u4")
-                    if item >= item_count or len(ctx) != length:
-                        raise InputError(f"{path}: cache file is corrupt")
-                    contexts[item] = ctx.astype(np.int64)
-                if any(c is None for c in contexts):
-                    raise InputError(f"{path}: cache is missing items")
-        except (struct.error, ValueError) as exc:
+            version, item_count, context_size, seed, gamma, num_walks, \
+                walk_length = struct.unpack(_CACHE_HEADER, data[4:body])
+        except struct.error as exc:
             raise InputError(f"{path}: cache file is corrupt: {exc}") from None
+        if version != _CACHE_VERSION:
+            raise InputError(f"{path}: unsupported cache version {version}")
+        # the body is item_count (item, length) records of little-endian u32
+        # words, each followed by its context; bytes past the last record are
+        # not read, and a count the body cannot hold sizes no list
+        words = np.frombuffer(data, dtype="<u4", count=(len(data) - body) // 4, offset=body)
+        listed = words.tolist()
+        end = len(listed)
+        if 2 * item_count > end:
+            raise InputError(f"{path}: cache file is corrupt")
+        starts = [None] * item_count
+        at = 0
+        for _ in range(item_count):
+            if at + 2 > end:
+                raise InputError(f"{path}: cache file is corrupt")
+            item, length = listed[at], listed[at + 1]
+            at += 2
+            if item >= item_count or at + length > end:
+                raise InputError(f"{path}: cache file is corrupt")
+            starts[item] = at
+            at += length
+        if None in starts:
+            raise InputError(f"{path}: cache is missing items")
+        # the word before each context is its length
+        flat = words.astype(np.int64)
+        contexts = [flat[a:a + listed[a - 1]] for a in starts]
         return cls(contexts, context_size, seed, gamma, num_walks, walk_length)
 
 
@@ -307,12 +323,9 @@ def sample_kg_negatives(kg: KnowledgeGraph, rng: np.random.Generator) -> np.ndar
     The corrupt tail is uniform over entities that are neither the head nor
     any neighbor of the head.
     """
-    n = kg.entity_count
     triples = kg.triple_table
-    # every entity's closed neighborhood N(e) + {e}, as sorted keys e * n + x
-    owners = np.repeat(np.arange(n), np.diff(kg.neighbor_offsets))
-    keys = np.union1d(owners * n + kg.neighbor_entities, np.arange(n) * (n + 1))
-    corrupt, pool = _draw_outside(keys, triples[:, 0], n, 1, rng)
+    corrupt, pool = _draw_outside(kg.closed_neighborhood_keys, triples[:, 0],
+                                  kg.entity_count, 1, rng)
     for h in np.unique(triples[pool == 0, 0]):
         warnings.warn(f"entity {h} neighbors every entity; triple skipped")
     kept = pool > 0

@@ -299,6 +299,29 @@ def test_evaluate_with_cache_of_other_item_count_exits_one(pipeline, tmp_path):
         assert code == 1
 
 
+def test_checkpoint_path_that_is_a_directory_exits_one(pipeline, capsys):
+    tmp_path, dataset, cache = pipeline
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(tmp_path), "--split", "test"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cache_path_that_is_a_directory_exits_one(pipeline, tmp_path, capsys):
+    _, dataset, _ = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    params = init_params(ModelConfig(), store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, np.random.default_rng(0))
+    ckpt = tmp_path / "init.bin"
+    save_checkpoint(ckpt, params, _checkpoint_meta(store, kg))
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(tmp_path),
+                 "--checkpoint", str(ckpt), "--split", "test"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_truncated_cache_exits_one(pipeline, tmp_path):
     _, dataset, cache = pipeline
     stub = tmp_path / "trunc.bin"

@@ -1,6 +1,7 @@
 """Ingestion, indexing and splitting tests for the data model."""
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,6 +64,13 @@ def test_malformed_line_reports_line_number(tmp_path):
     path = _write(tmp_path / "r.tsv", "u1\ti1\t5\nu2 i2 5\n")
     with pytest.raises(InputError, match=":2"):
         load_interactions(path)
+
+
+def test_text_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(b"u1\ti1\t5\n\xff\xfe\ti2\t5\n")
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        load_interactions(str(path))
 
 
 def test_non_numeric_rating_reports_line_number(tmp_path):
@@ -233,6 +241,66 @@ def test_is_neighbor_matches_brute_force(raw_triples):
             assert kg.is_neighbor(a, b) == ((a, b) in linked)
 
 
+def _lexsort_tables(entity_count, relation_count, triples):
+    """The graph's tables built with one lexsort per order, as a reference."""
+    table = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    h, r, t = table.T
+    order = np.lexsort((t, r, h))
+    h_s, r_s, t_s = h[order], r[order], t[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (np.diff(h_s) != 0) | (np.diff(r_s) != 0) | (np.diff(t_s) != 0)
+    kept = np.sort(order[starts])
+    h, r, t = h[kept], r[kept], t[kept]
+    heads = np.concatenate([h, t])
+    rels = np.concatenate([r, r + relation_count])
+    tails = np.concatenate([t, h])
+    order = np.lexsort((tails, rels, heads))
+    order2 = np.lexsort((tails, heads))
+    n_heads, n_tails = heads[order2], tails[order2]
+    distinct = np.ones(len(order2), dtype=bool)
+    distinct[1:] = (np.diff(n_heads) != 0) | (np.diff(n_tails) != 0)
+    return {
+        "triple_table": table[kept],
+        "edge_offsets": _csr_offsets(heads, entity_count),
+        "edge_relations": rels[order],
+        "edge_tails": tails[order],
+        "neighbor_offsets": _csr_offsets(n_heads[distinct], entity_count),
+        "neighbor_entities": n_tails[distinct],
+    }
+
+
+def _csr_offsets(heads, entity_count):
+    return np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=entity_count))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.data())
+def test_tables_equal_the_lexsort_reference(entity_count, relation_count, data):
+    # small id ranges make duplicates, self-loops and both edge directions common
+    triple = st.tuples(st.integers(0, entity_count - 1), st.integers(0, relation_count - 1),
+                       st.integers(0, entity_count - 1))
+    triples = data.draw(st.lists(triple, max_size=40))
+    triples += data.draw(st.lists(st.sampled_from(triples), max_size=10)) if triples else []
+    kg = KnowledgeGraph(entity_count, relation_count, triples)
+    want = _lexsort_tables(entity_count, relation_count, triples)
+    for name in ("triple_table", "edge_offsets", "edge_relations", "edge_tails",
+                 "neighbor_offsets", "neighbor_entities"):
+        got = getattr(kg, name)
+        assert got.dtype == np.int64, name
+        np.testing.assert_array_equal(got, want[name].reshape(got.shape), err_msg=name)
+
+
+def test_graph_too_large_to_index_is_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="too large"):
+            KnowledgeGraph(3_000_000_000, 60, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_triples_equal_plain_tuples():
     kg = KnowledgeGraph(3, 1, [(0, 0, 1), Triple(1, 0, 2), (0, 0, 1)])
     assert kg.triples == [Triple(0, 0, 1), Triple(1, 0, 2)] == [(0, 0, 1), (1, 0, 2)]
@@ -310,6 +378,32 @@ def test_id_maps_round_trip(tmp_path):
     assert loaded.dense("user", "beta") == 1
     assert loaded.raw("entity", 0) == "e0"
     assert loaded.count("item") == 0
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("user\ta\t0\nuser\tb\n", 2, "expected 3 tab-separated fields, got 2"),
+    ("user\ta\t0\nuser\tb\t1\textra\n", 2, "expected 3 tab-separated fields, got 4"),
+    ("user\ta\t0\nplace\tb\t0\n", 2, "unknown namespace 'place'"),
+    ("user\ta\t0\nuser\tb\t2\n", 2, "non-contiguous index for 'b'"),
+    ("item\ta\t0\nitem\tb\t1\nitem\ta\t2\n", 3, "non-contiguous index for 'a'"),
+    # comment, blank and whitespace lines are skipped but keep their numbers
+    ("# ns\traw\tindex\n\nuser\ta\t0\n \t \n\t\t\n#user\tb\t1\nuser\tb\t5\n", 7,
+     "non-contiguous index for 'b'"),
+])
+def test_id_maps_load_names_the_first_bad_line(tmp_path, text, lineno, message):
+    path = _write(tmp_path / "ids.tsv", text)
+    with pytest.raises(InputError) as err:
+        IdMaps.load(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
+def test_id_maps_load_skips_comment_and_blank_lines(tmp_path):
+    path = _write(tmp_path / "ids.tsv", "# ns\traw\tindex\n\nuser\tb\t0\n \n#user\tx\t1\n"
+                                        "entity\tb\t0\r\nuser\ta\t1")
+    maps = IdMaps.load(path)
+    assert [maps.raw("user", j) for j in range(maps.count("user"))] == ["b", "a"]
+    assert maps.dense("entity", "b") == 0 and maps.count("item") == 0
+    assert not maps.has("user", "x")
 
 
 def test_dataset_directory_round_trip(tmp_path):

@@ -7,6 +7,7 @@ against a brute-force visit counter on recorded walks.
 
 import collections
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -396,6 +397,45 @@ def test_cache_rejects_foreign_files(tmp_path):
         WalkCache.load(path)
 
 
+def test_every_truncation_of_a_cache_file_is_an_input_error(tmp_path):
+    # empty, short and full contexts; the last item's context is empty, so
+    # the file ends with its (item, length) record
+    contexts = [np.array([4, 1, 7]), np.zeros(0, dtype=np.int64), np.array([9]),
+                np.array([2, 3, 5]), np.zeros(0, dtype=np.int64)]
+    path = tmp_path / "cache.bin"
+    WalkCache(contexts, 3, seed=2, gamma=0.2, num_walks=2, walk_length=3).save(path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for length in range(len(data)):
+        cut.write_bytes(data[:length])
+        with pytest.raises(InputError, match="not a walk cache|cache file is corrupt"):
+            WalkCache.load(cut)
+    loaded = WalkCache.load(path)
+    assert [c.tolist() for c in loaded.contexts] == [c.tolist() for c in contexts]
+    assert all(c.dtype == np.int64 for c in loaded.contexts)
+
+
+def test_cache_load_rejects_bad_records(tmp_path):
+    path = tmp_path / "cache.bin"
+    WalkCache([np.array([4, 1]), np.array([9])], 2, seed=2, gamma=0.2, num_walks=2,
+              walk_length=3).save(path)
+    data = path.read_bytes()
+    header = 4 + struct.calcsize("<IIIQdII")
+    cases = {
+        # item 1's record names item 0 again: item 1 never appears
+        "cache is missing items": data[:header + 16] + struct.pack("<I", 0) + data[header + 20:],
+        # an item index past the header's item count
+        "cache file is corrupt": data[:header] + struct.pack("<I", 2) + data[header + 4:],
+        # an item count that the body cannot hold
+        "cache file is corrupt$": data[:8] + struct.pack("<I", 1 << 31) + data[12:],
+        "unsupported cache version 7": data[:4] + struct.pack("<I", 7) + data[8:],
+    }
+    for message, body in cases.items():
+        path.write_bytes(body)
+        with pytest.raises(InputError, match=message):
+            WalkCache.load(path)
+
+
 # ---------------------------------------------------------------------------
 # ranking negatives
 # ---------------------------------------------------------------------------
@@ -522,6 +562,16 @@ def test_kg_negative_skips_fully_connected_head():
     with pytest.warns(UserWarning, match="neighbors every entity"):
         quads = sample_kg_negatives(kg, np.random.default_rng(0))
     assert all(h != 0 for h, _, _, _ in quads)
+
+
+def test_closed_neighborhood_keys_are_built_once_on_first_use():
+    kg = KnowledgeGraph(5, 1, [(0, 0, 1), (3, 0, 3)])
+    assert "closed_neighborhood_keys" not in vars(kg)
+    first = sample_kg_negatives(kg, np.random.default_rng(4))
+    keys = kg.closed_neighborhood_keys
+    assert keys.tolist() == [0, 1, 5, 6, 12, 18, 24]
+    np.testing.assert_array_equal(sample_kg_negatives(kg, np.random.default_rng(4)), first)
+    assert kg.closed_neighborhood_keys is keys
 
 
 def test_kg_negatives_are_uniform_over_the_closed_neighborhood_complement():
