@@ -550,54 +550,73 @@ class GruParams:
     bc: Tensor
 
 
-def gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
-    """One recurrence step: h' = (1 - z) ⊙ h + z ⊙ tanh(xWc + (r ⊙ h)Uc + bc),
-    with z = sigmoid(xWz + bz + hUz) and r = sigmoid(xWr + br + hUr).
+def gru_sequence(x: Tensor, mask, p: GruParams) -> Tensor:
+    """The last state (U, d) of U sequences of C steps from a zero state.
 
-    One tape node with a hand-written backward, after Appleyard et al.
-    (arXiv:1604.01946).  A non-finite gate pre-activation raises
-    ``NumericError`` too, although the saturating nonlinearity would hide it.
+    ``x`` is step-major, (C*U, d_in): row k*U + u is step k of sequence u.
+    ``mask`` (U, C) is 1.0 where a step is real; a sequence keeps its state
+    over a masked step.  Each step runs h' = (1 - z) ⊙ h + z ⊙ tanh(xWc +
+    (r ⊙ h)Uc + bc), with z = sigmoid(xWz + bz + hUz) and r = sigmoid(xWr +
+    br + hUr), then h = m ⊙ h' + (1 - m) ⊙ h.
+
+    One tape node whose backward runs back through the steps, after
+    Appleyard et al. (arXiv:1604.01946).  A non-finite gate pre-activation
+    raises ``NumericError`` too, although the saturating nonlinearity would
+    hide it.
     """
-    x, h = _wrap(x), _wrap(h)
-    if x.shape[0] != h.shape[0] or x.shape[1] != p.wz.shape[0] \
-            or h.shape[1] != p.uz.shape[0]:
-        raise ShapeError(f"gru_cell: x {x.shape}, h {h.shape}, W {p.wz.shape}, U {p.uz.shape}")
-    xs, hs = x.data, h.data
+    x = _wrap(x)
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 2 or x.shape[0] != mask.size or x.shape[1] != p.wz.shape[0]:
+        raise ShapeError(f"gru_sequence: x {x.shape}, mask {mask.shape}, W {p.wz.shape}")
+    weights = (p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wc, p.uc, p.bc)
+    units, n_steps = mask.shape
+    hs = np.zeros((units, p.uz.shape[0]))
+    # the backward's inputs, one tuple per step, kept only for a backward
+    steps = [] if x.requires_grad or any(w.requires_grad for w in weights) else None
     with np.errstate(over="ignore", invalid="ignore"):
-        pre_z = xs @ p.wz.data + p.bz.data + hs @ p.uz.data
-        pre_r = xs @ p.wr.data + p.br.data + hs @ p.ur.data
-        r = _sigmoid_data(pre_r)
-        rh = r * hs
-        pre_c = xs @ p.wc.data + p.bc.data + rh @ p.uc.data
-        if not (np.isfinite(pre_z).all() and np.isfinite(pre_r).all()
-                and np.isfinite(pre_c).all()):
-            raise NumericError("op 'gru_cell' produced non-finite values")
-        z = _sigmoid_data(pre_z)
-        c = np.tanh(pre_c)
-        out = Tensor(z * c + (1.0 - z) * hs, op="gru_cell")
+        for k in range(n_steps):
+            xs = x.data[k * units:(k + 1) * units]
+            pre_z = xs @ p.wz.data + p.bz.data + hs @ p.uz.data
+            pre_r = xs @ p.wr.data + p.br.data + hs @ p.ur.data
+            r = _sigmoid_data(pre_r)
+            rh = r * hs
+            pre_c = xs @ p.wc.data + p.bc.data + rh @ p.uc.data
+            if not (np.isfinite(pre_z).all() and np.isfinite(pre_r).all()
+                    and np.isfinite(pre_c).all()):
+                raise NumericError("op 'gru_sequence' produced non-finite values")
+            z = _sigmoid_data(pre_z)
+            c = np.tanh(pre_c)
+            m = mask[:, k:k + 1]
+            if steps is not None:
+                steps.append((xs, hs, r, rh, z, c, m))
+            hs = m * (z * c + (1.0 - z) * hs) + (1.0 - m) * hs
+    out = Tensor(hs, op="gru_sequence")
 
     def backprop():
         g = out.grad
-        d_c = g * z * (1.0 - c * c)
-        d_z = g * (c - hs) * z * (1.0 - z)
-        d_rh = d_c @ p.uc.data.T
-        d_r = d_rh * hs * r * (1.0 - r)
-        for pre, w, u, b, u_in in ((d_z, p.wz, p.uz, p.bz, hs), (d_r, p.wr, p.ur, p.br, hs),
-                                   (d_c, p.wc, p.uc, p.bc, rh)):
-            if w.requires_grad:
-                _accum(w, xs.T @ pre, owned=True)
-            if u.requires_grad:
-                _accum(u, u_in.T @ pre, owned=True)
-            if b.requires_grad:
-                _accum(b, pre.sum(axis=0, keepdims=True), owned=True)
-        if x.requires_grad:
-            _accum(x, d_z @ p.wz.data.T + d_r @ p.wr.data.T + d_c @ p.wc.data.T, owned=True)
-        if h.requires_grad:
-            _accum(h, g * (1.0 - z) + d_rh * r + d_z @ p.uz.data.T + d_r @ p.ur.data.T,
-                   owned=True)
+        d_x = np.zeros((n_steps, units, x.shape[1]))
+        for k in range(n_steps - 1, -1, -1):
+            xs, hs, r, rh, z, c, m = steps[k]
+            g_new = g * m
+            d_c = g_new * z * (1.0 - c * c)
+            d_z = g_new * (c - hs) * z * (1.0 - z)
+            d_rh = d_c @ p.uc.data.T
+            d_r = d_rh * hs * r * (1.0 - r)
+            for pre, w, u, b, u_in in ((d_z, p.wz, p.uz, p.bz, hs),
+                                       (d_r, p.wr, p.ur, p.br, hs),
+                                       (d_c, p.wc, p.uc, p.bc, rh)):
+                if w.requires_grad:
+                    _accum(w, xs.T @ pre, owned=True)
+                if u.requires_grad:
+                    _accum(u, u_in.T @ pre, owned=True)
+                if b.requires_grad:
+                    _accum(b, pre.sum(axis=0, keepdims=True), owned=True)
+            d_x[k] = d_z @ p.wz.data.T + d_r @ p.wr.data.T + d_c @ p.wc.data.T
+            g = (g_new * (1.0 - z) + d_rh * r + d_z @ p.uz.data.T + d_r @ p.ur.data.T
+                 + g * (1.0 - m))
+        _accum(x, d_x.reshape(x.shape), owned=True)
 
-    return _finish(out, (x, h, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wc, p.uc, p.bc),
-                   backprop)
+    return _finish(out, (x, *weights), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +628,19 @@ class ParamRegistry:
     """Named learnable tensors with persistent gradient buffers."""
 
     def __init__(self):
-        self._entries: dict[str, tuple[Tensor, bool]] = {}
+        self._entries: dict[str, Tensor] = {}
 
-    def register(self, name: str, value, trainable: bool = True) -> Tensor:
+    def register(self, name: str, value) -> Tensor:
         if name in self._entries:
             raise ValueError(f"parameter {name!r} already registered")
         t = Tensor(np.array(value, dtype=np.float64, copy=True),
-                   requires_grad=trainable, op=f"param:{name}")
+                   requires_grad=True, op=f"param:{name}")
         t.grad = np.zeros_like(t.data)
-        self._entries[name] = (t, trainable)
+        self._entries[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._entries[name][0]
+        return self._entries[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -629,26 +648,20 @@ class ParamRegistry:
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def items(self) -> Iterable[tuple[str, Tensor, bool]]:
-        for name, (t, trainable) in self._entries.items():
-            yield name, t, trainable
-
-    def trainable_items(self) -> Iterable[tuple[str, Tensor]]:
-        for name, (t, trainable) in self._entries.items():
-            if trainable:
-                yield name, t
+    def items(self) -> Iterable[tuple[str, Tensor]]:
+        return self._entries.items()
 
     def zero_grads(self) -> None:
-        for t, _ in self._entries.values():
+        for t in self._entries.values():
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             else:
                 t.grad.fill(0.0)
 
     def l2_penalty(self) -> Tensor:
-        """Sum of squared entries over every trainable tensor, as one tape
-        node: its backward adds 2 g θ into each tensor's gradient."""
-        params = tuple(t for _, t in self.trainable_items())
+        """Sum of squared entries over every tensor, as one tape node: its
+        backward adds 2 g θ into each tensor's gradient."""
+        params = tuple(self._entries.values())
         out = Tensor(sum(np.vdot(t.data, t.data) for t in params), op="l2_penalty")
 
         def backprop():
@@ -659,7 +672,7 @@ class ParamRegistry:
         return _finish(out, params, backprop)
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, (t, _) in self._entries.items()}
+        return {name: t.data.copy() for name, t in self._entries.items()}
 
     def restore(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
@@ -675,15 +688,15 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in registry.trainable_items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in registry.trainable_items()}
+        self._m = {name: np.zeros_like(t.data) for name, t in registry.items()}
+        self._v = {name: np.zeros_like(t.data) for name, t in registry.items()}
         # one scratch pair sized to the largest parameter, sliced per
         # parameter, so a step allocates nothing
-        size = max((t.data.size for _, t in registry.trainable_items()), default=0)
+        size = max((t.data.size for _, t in registry.items()), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, registry: ParamRegistry, eta: float) -> None:
-        """Apply one update to all trainable parameters, then zero gradients.
+        """Apply one update to all parameters, then zero gradients.
 
         In place, in the operation order of  m = b1 m + (1-b1) g,
         v = b2 v + (1-b2) g g,  p -= eta (m/c1) / (sqrt(v/c2) + eps).
@@ -692,7 +705,7 @@ class AdamState:
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for name, p in registry.trainable_items():
+        for name, p in registry.items():
             g = p.grad
             m = self._m[name]
             v = self._v[name]
@@ -729,7 +742,7 @@ def finite_difference_check(f: Callable[[], Tensor], registry: ParamRegistry,
     if rng is None:
         rng = np.random.default_rng(0)
     if names is None:
-        names = [name for name, _ in registry.trainable_items()]
+        names = [name for name, _ in registry.items()]
     names = list(names)
     loss = f()
     registry.zero_grads()
@@ -781,7 +794,7 @@ def save_checkpoint(path, registry: ParamRegistry, meta: dict) -> None:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack(_CKPT_HEADER, _CKPT_VERSION,
                              *(meta[f] for f in _CKPT_FIELDS[:-1]), len(entries)))
-        for name, t, _ in entries:
+        for name, t in entries:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)

@@ -32,7 +32,9 @@ def _add_config_args(sub):
 
 
 def _config_from(args) -> RunConfig:
-    return load_config(args.config, args.overrides)
+    """The config file, then ``--set`` overrides, then ``--seed``."""
+    seed = getattr(args, "seed", None)
+    return load_config(args.config, args.overrides + ([] if seed is None else [f"seed={seed}"]))
 
 
 def _echo_config(cfg: RunConfig, out_dir: str) -> None:
@@ -60,8 +62,6 @@ def cmd_preprocess(args) -> int:
     cfg = _config_from(args)
     if args.threshold is not None:
         cfg.threshold = args.threshold
-    if args.seed is not None:
-        cfg.seed = args.seed
     store, id_maps = graph.load_interactions(args.ratings, cfg.threshold)
     kg, item_entities = graph.load_kg(args.kg, args.item_map, id_maps)
     store = graph.split_interactions(store, (0.6, 0.2, 0.2), cfg.seed)
@@ -82,8 +82,6 @@ def cmd_preprocess(args) -> int:
 
 def cmd_build_cache(args) -> int:
     cfg = _config_from(args)
-    if args.seed is not None:
-        cfg.seed = args.seed
     store, kg, item_entities, _ = _load_dataset(args)
     cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed,
                              workers=args.workers or cfg.workers)
@@ -95,8 +93,6 @@ def cmd_build_cache(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args)
-    if args.seed is not None:
-        cfg.seed = args.seed
     store, kg, item_entities, _ = _load_dataset(args)
     cache = WalkCache.load(args.cache)
     params, report = train(store, kg, item_entities, cache, cfg.model_config(),
@@ -148,15 +144,12 @@ _ABLATION_VARIANTS = (
 
 def cmd_ablate(args) -> int:
     cfg = _config_from(args)
-    if args.seed is not None:
-        cfg.seed = args.seed
     store, kg, item_entities, _ = _load_dataset(args)
     cache = WalkCache.load(args.cache)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name, flags in _ABLATION_VARIANTS:
         variant = _config_from(args)
-        variant.seed = cfg.seed
         variant.K = tuple(sorted(set(variant.K) | {20}))  # table reports HR@20
         for key, value in flags.items():
             setattr(variant, key, value)
@@ -191,7 +184,6 @@ def cmd_sweep(args) -> int:
     lines = ["value\tK\tmetric\tscore"]
     for value in values:
         cfg = _config_from(args)
-        cfg.seed = base.seed if args.seed is None else args.seed
         setattr(cfg, args.param, value)
         # walk parameters change the cache; rebuild when needed
         if args.param in ("gamma", "M", "L", "S") or args.cache is None:

@@ -74,7 +74,7 @@ class FastScorer:
 
     def __init__(self, params, cfg: ModelConfig, item_entities,
                  contexts: ItemInputs):
-        frozen = {name: ad.constant(t.data) for name, t, _ in params.items()}
+        frozen = {name: ad.constant(t.data) for name, t in params.items()}
         self.model = GraphContextModel(cfg, frozen, item_entities)
         self.stage = self.model.item_stage(contexts)
 

@@ -220,14 +220,8 @@ class GraphContextModel:
 
     def _walk_state(self, items: ItemInputs) -> Tensor:
         """The GRU's last state over every item's reversed walk context, (U, d)."""
-        h = ad.constant(np.zeros((len(items.entities), self.cfg.dim)))
-        for step in range(items.ctx_rev.shape[1]):
-            x = ad.gather_rows(self.params["entity_emb"], items.ctx_rev[:, step])
-            h_next = ad.gru_cell(x, h, self.gru)
-            # items past their context length keep the previous state
-            h = ad.elementwise_gate(ad.constant(items.ctx_mask[:, step:step + 1]),
-                                    h_next, h)
-        return h
+        x = ad.gather_rows(self.params["entity_emb"], items.ctx_rev.T.ravel())
+        return ad.gru_sequence(x, items.ctx_mask, self.gru)
 
     def item_stage(self, items: ItemInputs, force: str | None = None) -> ItemStage:
         """The user-free half of every item's representation, once per item:

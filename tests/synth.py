@@ -6,13 +6,29 @@ from kgrec import autodiff as ad
 from kgrec.graph import InteractionStore, KnowledgeGraph, Triple
 
 
-def gru_run(xs, p):
-    """The GRU cell over a sequence of row tensors from a zero state; returns
-    the last hidden state, the zero state itself for an empty sequence."""
-    xs = list(xs)
-    h = ad.constant(np.zeros((xs[0].shape[0] if xs else 1, p.uz.shape[0])))
-    for x in xs:
-        h = ad.gru_cell(x, h, p)
+def unfused_gate(s, a, b):
+    """s ⊙ a + (1 - s) ⊙ b from elementary ops."""
+    return ad.add(ad.mul(s, a), ad.mul(ad.sub(1.0, s), b))
+
+
+def unfused_gru_cell(x, h, p):
+    """One GRU step from elementary ops."""
+    z = ad.sigmoid(ad.add(ad.affine(x, p.wz, p.bz), ad.matmul(h, p.uz)))
+    r = ad.sigmoid(ad.add(ad.affine(x, p.wr, p.br), ad.matmul(h, p.ur)))
+    c = ad.tanh(ad.add(ad.affine(x, p.wc, p.bc), ad.matmul(ad.mul(r, h), p.uc)))
+    return unfused_gate(z, c, h)
+
+
+def gru_run(x, mask, p):
+    """Reference for ``ad.gru_sequence``: the unfused cell over each step of
+    the step-major rows of x, from a zero state, with a masked step gated
+    back to the previous state."""
+    mask = np.asarray(mask, dtype=np.float64)
+    units, n_steps = mask.shape
+    h = ad.constant(np.zeros((units, p.uz.shape[0])))
+    for k in range(n_steps):
+        x_k = ad.gather_rows(x, np.arange(k * units, (k + 1) * units))
+        h = unfused_gate(ad.constant(mask[:, k:k + 1]), unfused_gru_cell(x_k, h, p), h)
     return h
 
 
@@ -107,7 +123,7 @@ def random_model_setup(rng, n_users=4, n_entities=14, n_relations=2, n_items=7,
                       **flags)
     params = init_params(cfg, n_users, n_entities, kg.relation_embedding_count, rng)
     if scale != 1.0:
-        for _, t in params.trainable_items():
+        for _, t in params.items():
             t.data *= scale
     model = GraphContextModel(cfg, params, item_entities)
     return kg, model, params, cfg, item_entities

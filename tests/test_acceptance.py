@@ -38,7 +38,7 @@ def _report(criterion, detail):
 
 
 def test_c1_gradient_suite():
-    """Every primitive, the recurrent cell, and the full score match central
+    """Every primitive, the recurrent sequence op, and the full score match central
     finite differences (rel err < 1e-4, eps = 1e-5, float64, >= 50 draws)."""
     started = time.perf_counter()
     worst = 0.0
@@ -46,6 +46,8 @@ def test_c1_gradient_suite():
 
     gru_names = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
                  "gru_wc", "gru_uc", "gru_bc")
+    # two walk contexts, of 2 steps and of 1
+    gru_mask = np.array([[1.0, 1.0], [1.0, 0.0]])
     primitive_builders = {
         "add": (lambda r: ad.add(r["a"], r["b"]), {"a": (3, 4), "b": (1, 4)}),
         "sub": (lambda r: ad.sub(r["a"], r["b"]), {"a": (3, 4), "b": (3, 4)}),
@@ -79,10 +81,10 @@ def test_c1_gradient_suite():
                                  {"f": (6, 3), "m": (1, 3)}),
         "neighbor_aggregate_all": (lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], None),
                                    {"a": (3, 2), "e": (6, 3), "b": (3, 3)}),
-        "gru_cell": (
-            lambda r: ad.gru_cell(r["x"], r["h"], ad.GruParams(*(r[n] for n in gru_names))),
+        "gru_sequence": (
+            lambda r: ad.gru_sequence(r["x"], gru_mask, ad.GruParams(*(r[n] for n in gru_names))),
             {**{n: (1, 3) if n.endswith(("bz", "br", "bc")) else (3, 3) for n in gru_names},
-             "x": (2, 3), "h": (2, 3)}),
+             "x": (4, 3)}),
     }
     for name, (builder, shapes) in primitive_builders.items():
         for _ in range(50):
@@ -101,11 +103,10 @@ def test_c1_gradient_suite():
         for name in gru_names:
             shape = (1, 3) if name.endswith(("bz", "br", "bc")) else (3, 3)
             reg.register(name, rng.uniform(-0.8, 0.8, size=shape))
-        reg.register("x0", rng.normal(size=(1, 3)))
-        reg.register("x1", rng.normal(size=(1, 3)))
+        reg.register("x", rng.normal(size=(4, 3)))
         gru = ad.GruParams(*(reg[n] for n in gru_names))
         err = finite_difference_check(
-            lambda: ad.sum_all(synth.gru_run([reg["x0"], reg["x1"]], gru)),
+            lambda: ad.sum_all(ad.gru_sequence(reg["x"], gru_mask, gru)),
             reg, eps=1e-5, max_coords=4, rng=rng)
         worst = max(worst, err)
         assert err < 1e-4, f"gru: {err}"

@@ -15,7 +15,7 @@ import pytest
 from kgrec import autodiff as ad
 from kgrec.autodiff import (AdamState, CheckpointError, GruParams, NumericError,
                             ParamRegistry, ShapeError, Tensor, finite_difference_check,
-                            gru_cell, load_checkpoint,
+                            gru_sequence, load_checkpoint,
                             read_checkpoint_meta, save_checkpoint)
 
 import synth
@@ -29,12 +29,15 @@ GRU_NAMES = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
 NBR_ITEMS = [2, 0, 2, 1, 2, 0, 3]
 NBR_USERS = [1, 1, 0, 2, 0, 1, 2]
 NBR_S = 3
+# walk-context masks (U, C): full, partial and zero-length rows
+GRU_MASK = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=float)
 
 
-def _gru_shapes(dx, dh, rows):
+def _gru_shapes(dx, dh, mask):
+    """Weights, and step-major inputs x for every step of ``mask``."""
     shapes = {name: (1, dh) if name.endswith(("bz", "br", "bc"))
               else (dx if name[-2] == "w" else dh, dh) for name in GRU_NAMES}
-    return {**shapes, "x": (rows, dx), "h": (rows, dh)}
+    return {**shapes, "x": (mask.size, dx)}
 
 
 def _gru_params(reg):
@@ -83,7 +86,8 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
      {"s": (3, 4), "a": (3, 4), "b": (3, 4)}),
     ("gate_broadcast", lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
      {"s": (1, 4), "a": (3, 4), "b": (3, 4)}),
-    ("gru_cell", lambda r: gru_cell(r["x"], r["h"], _gru_params(r)), _gru_shapes(3, 4, 5)),
+    ("gru_sequence", lambda r: gru_sequence(r["x"], GRU_MASK, _gru_params(r)),
+     _gru_shapes(3, 4, GRU_MASK)),
     ("neighbor_softmax",
      lambda r: ad.neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
      {"f": (4 * NBR_S, 5), "m": (3, 5)}),
@@ -234,6 +238,10 @@ def test_shape_errors():
         ad.elementwise_gate(ad.constant(np.ones((1, 3))), a, b)
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2)))
+    reg = _registry_with(np.random.default_rng(0), _gru_shapes(2, 2, GRU_MASK))
+    # one step-major row short of the mask's 15
+    with pytest.raises(ShapeError):
+        gru_sequence(ad.constant(reg["x"].data[1:]), GRU_MASK, _gru_params(reg))
 
 
 def test_non_finite_output_aborts_with_op_name():
@@ -260,17 +268,6 @@ def _unfused_neighbor_aggregate(alpha, tails, base, items):
     return ad.tanh(ad.add(ad.gather_rows(base, items), _unfused_neighbor_sum(alpha, tails, items)))
 
 
-def _unfused_gate(s, a, b):
-    return ad.add(ad.mul(s, a), ad.mul(ad.sub(1.0, s), b))
-
-
-def _unfused_gru_cell(x, h, p):
-    z = ad.sigmoid(ad.add(ad.affine(x, p.wz, p.bz), ad.matmul(h, p.uz)))
-    r = ad.sigmoid(ad.add(ad.affine(x, p.wr, p.br), ad.matmul(h, p.ur)))
-    c = ad.tanh(ad.add(ad.affine(x, p.wc, p.bc), ad.matmul(ad.mul(r, h), p.uc)))
-    return _unfused_gate(z, c, h)
-
-
 _FUSED_CASES = {
     "neighbor_softmax": (
         lambda r: ad.neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
@@ -281,19 +278,20 @@ _FUSED_CASES = {
         lambda r: _unfused_neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"],
                                               NBR_ITEMS),
         {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 6), "b": (4, 6)}),
-    # the gate keeps the unfused arithmetic, so it is compared bit for bit
+    # the gate and the GRU keep the unfused arithmetic, so their forward is
+    # compared bit for bit (and the gate's gradients too)
     "elementwise_gate": (
         lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-        lambda r: _unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
+        lambda r: synth.unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
         {"s": (1, 6), "a": (5, 6), "b": (5, 6)}),
     "elementwise_gate_column": (
         lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-        lambda r: _unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
+        lambda r: synth.unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
         {"s": (5, 1), "a": (5, 6), "b": (5, 6)}),
-    "gru_cell": (
-        lambda r: gru_cell(r["x"], r["h"], _gru_params(r)),
-        lambda r: _unfused_gru_cell(r["x"], r["h"], _gru_params(r)),
-        _gru_shapes(5, 4, 6)),
+    "gru_sequence": (
+        lambda r: gru_sequence(r["x"], GRU_MASK, _gru_params(r)),
+        lambda r: synth.gru_run(r["x"], GRU_MASK, _gru_params(r)),
+        _gru_shapes(5, 4, GRU_MASK)),
 }
 
 
@@ -313,7 +311,7 @@ def test_fused_op_matches_unfused_composition(name):
             ad.sum_all(ad.mul(out, weight)).backward()
             results.append((out.data, {k: reg[k].grad.copy() for k in shapes}))
         (got, got_grads), (want, want_grads) = results
-        if name.startswith("elementwise_gate"):
+        if name.startswith(("elementwise_gate", "gru_sequence")):
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -403,12 +401,14 @@ def test_fused_ops_name_themselves_on_overflow():
     with pytest.raises(NumericError, match="'elementwise_gate'"):
         ad.elementwise_gate(ad.constant([[1e200]]), huge, huge)
     rng = np.random.default_rng(37)
-    reg = _registry_with(rng, _gru_shapes(2, 2, 1))
-    reg["x"].data[...] = 1e200
+    mask = np.ones((1, 2))
+    reg = _registry_with(rng, _gru_shapes(2, 2, mask))
+    reg["x"].data[1] = 1e200
     reg["gru_wz"].data[...] = 1e200
-    # the update gate's pre-activation overflows; its sigmoid alone would hide it
-    with pytest.raises(NumericError, match="'gru_cell'"):
-        gru_cell(reg["x"], reg["h"], _gru_params(reg))
+    # the update gate's pre-activation overflows at the second step; its
+    # sigmoid alone would hide it
+    with pytest.raises(NumericError, match="'gru_sequence'"):
+        gru_sequence(reg["x"], mask, _gru_params(reg))
 
 
 def test_forward_is_deterministic():
@@ -426,23 +426,18 @@ def test_forward_is_deterministic():
 
 def _gru_registry(rng, d):
     reg = ParamRegistry()
-    names = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
-             "gru_wc", "gru_uc", "gru_bc")
-    for name in names:
+    for name in GRU_NAMES:
         shape = (1, d) if name.endswith(("bz", "br", "bc")) else (d, d)
         reg.register(name, rng.uniform(-0.8, 0.8, size=shape))
-    return reg, GruParams(*(reg[n] for n in names))
+    return reg, _gru_params(reg)
 
 
 def test_gru_zero_weights_zero_input_keeps_zero_state():
     reg = ParamRegistry()
-    names = ("gru_wz", "gru_uz", "gru_bz", "gru_wr", "gru_ur", "gru_br",
-             "gru_wc", "gru_uc", "gru_bc")
-    for name in names:
+    for name in GRU_NAMES:
         shape = (1, 3) if name.endswith(("bz", "br", "bc")) else (3, 3)
         reg.register(name, np.zeros(shape))
-    p = GruParams(*(reg[n] for n in names))
-    h = gru_cell(ad.constant(np.zeros((1, 3))), ad.constant(np.zeros((1, 3))), p)
+    h = gru_sequence(ad.constant(np.zeros((1, 3))), np.ones((1, 1)), _gru_params(reg))
     # update gate sits at 0.5 and the candidate at 0, so the state stays 0
     np.testing.assert_array_equal(h.data, np.zeros((1, 3)))
 
@@ -450,32 +445,36 @@ def test_gru_zero_weights_zero_input_keeps_zero_state():
 def test_gru_sequence_length_matters():
     rng = np.random.default_rng(17)
     reg, p = _gru_registry(rng, 4)
-    x = ad.constant(rng.normal(size=(1, 4)))
-    one = synth.gru_run([x], p).data
-    two = synth.gru_run([x, x], p).data
+    x = rng.normal(size=(1, 4))
+    one = gru_sequence(ad.constant(x), np.ones((1, 1)), p).data
+    two = gru_sequence(ad.constant(np.vstack([x, x])), np.ones((1, 2)), p).data
     assert np.abs(one - two).max() > 1e-8
+    # a masked second step keeps the state of the first
+    masked = gru_sequence(ad.constant(np.vstack([x, x])), [[1.0, 0.0]], p).data
+    np.testing.assert_array_equal(masked, one)
 
 
 def test_gru_empty_sequence_is_zero():
     rng = np.random.default_rng(19)
-    _, p = _gru_registry(rng, 4)
-    np.testing.assert_array_equal(synth.gru_run([], p).data, np.zeros((1, 4)))
+    reg, p = _gru_registry(rng, 4)
+    reg.register("table", rng.normal(size=(3, 4)))
+    x = ad.gather_rows(reg["table"], np.zeros(0, dtype=int))
+    h = gru_sequence(x, np.zeros((2, 0)), p)
+    np.testing.assert_array_equal(h.data, np.zeros((2, 4)))
+    ad.sum_all(ad.mul(h, ad.constant(rng.normal(size=(2, 4))))).backward()
+    for name, t in reg.items():
+        np.testing.assert_array_equal(t.grad, np.zeros_like(t.data), err_msg=name)
 
 
 def test_gru_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
+    # mixed lengths, 3, 1 and 2 steps
+    mask = np.array([[1, 1, 1], [1, 0, 0], [1, 1, 0]], dtype=float)
     for _ in range(N_DRAWS):
         reg, p = _gru_registry(rng, 3)
-        xs_data = rng.normal(size=(3, 1, 3))
-        reg.register("x0", xs_data[0])
-        reg.register("x1", xs_data[1])
-        reg.register("x2", xs_data[2])
-
-        def f():
-            xs = [reg["x0"], reg["x1"], reg["x2"]]
-            return ad.sum_all(synth.gru_run(xs, p))
-
-        err = finite_difference_check(f, reg, eps=1e-5, max_coords=4, rng=rng)
+        reg.register("x", rng.normal(size=(mask.size, 3)))
+        err = finite_difference_check(lambda: ad.sum_all(gru_sequence(reg["x"], mask, p)),
+                                      reg, eps=1e-5, max_coords=4, rng=rng)
         assert err < 1e-4
 
 
@@ -574,7 +573,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, reg, meta)
     saved = reg.snapshot()
-    for _, t in reg.trainable_items():
+    for _, t in reg.items():
         t.data += 1.0
     got = load_checkpoint(path, reg)
     assert {k: got[k] for k in meta} == meta

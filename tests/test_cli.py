@@ -142,6 +142,23 @@ def test_sweep_emits_per_value_table(pipeline):
     assert values == {"2", "3"}
 
 
+def test_sweep_echoes_the_seed_flag(pipeline):
+    tmp_path, dataset, cache = pipeline
+    out = tmp_path / "sweep_seed"
+    code = main(["sweep", "--dataset", str(dataset), "--cache", str(cache),
+                 "--out", str(out), "--param", "N", "--values", "2",
+                 "--seed", "3"] + FAST_TRAIN)
+    assert code == 0
+    assert load_config(out / "config.ini").seed == 3
+
+
+def test_negative_seed_flag_exits_one(pipeline):
+    tmp_path, dataset, cache = pipeline
+    code = main(["train", "--dataset", str(dataset), "--cache", str(cache),
+                 "--out", str(tmp_path / "x"), "--seed", "-3"])
+    assert code == 1
+
+
 def test_config_echo_reloads_identically(pipeline):
     tmp_path, dataset, cache = pipeline
     run = tmp_path / "run_echo"

@@ -90,12 +90,12 @@ def test_fast_scorer_matches_tape_scorer(flags):
     items, nonempty = sample_history(store, [user], None, cfg.history_size,
                                      substream(1, "eval-history"))
     history = items[0].tolist() if nonempty[0] else []
-    grads = {name: t.grad.copy() for name, t, _ in params.items()}
+    grads = {name: t.grad.copy() for name, t in params.items()}
     scores = scorer.user_scores(user, history)
     halves = scorer.all_item_q(user)
     assert len(halves) == 2
     assert all(t.requires_grad is False for t in halves)
-    for name, t, _ in params.items():
+    for name, t in params.items():
         np.testing.assert_array_equal(t.grad, grads[name], err_msg=name)
 
     def item_ctx(i):
@@ -180,7 +180,7 @@ def test_hit_ratio_averages_binary_hits():
     product, so rankings are fully controlled by the embedding tables.
     """
     kg, model, params, cfg, items, _, cache = _world(6)
-    for _, t in params.trainable_items():
+    for _, t in params.items():
         t.data[...] = 0.0
     params["user_emb"].data[0, 0] = 1.0
     params["user_emb"].data[1, 1] = 1.0

@@ -185,8 +185,8 @@ def test_nonlocal_consumes_context_in_reverse():
     ctx = (3, 7)  # most-frequent first
     got = model.nonlocal_embedding(1, ctx).data
     ent = params["entity_emb"]
-    xs = [ad.gather_rows(ent, [7]), ad.gather_rows(ent, [3])]  # reversed feed
-    h = synth.gru_run(xs, model.gru)
+    # the reversed feed
+    h = synth.gru_run(ad.gather_rows(ent, [7, 3]), np.ones((1, 2)), model.gru)
     expected = ad.tanh(ad.affine(ad.hstack(ad.gather_rows(ent, [1]), h),
                                  synth.concat_weight(params, "agg_W"), params["agg_b"])).data
     np.testing.assert_allclose(got, expected, atol=1e-14)
@@ -207,6 +207,27 @@ def test_nonlocal_empty_context_closed_form():
     expected = np.tanh(np.concatenate([e_h, zeros], axis=1)
                        @ synth.concat_weight(params, "agg_W").data + params["agg_b"].data)
     np.testing.assert_array_equal(got, expected)
+
+
+def _tape_nodes(out):
+    """Op nodes on the tape behind ``out``: every node reached through parent
+    links that records a gradient and is not a parameter."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.requires_grad and not node.op.startswith("param:"):
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("steps", [3, 5])
+def test_walk_state_is_one_gather_and_one_gru_node(steps):
+    (kg, model, _, _, _), rng = _setup(15)
+    walks = [tuple(rng.choice(kg.entity_count, size=n, replace=False)) for n in (steps, 1, 0)]
+    items = ItemInputs.build([0, 1, 2], [[(0, 1)]] * 3, *reverse_pad(walks, steps))
+    nodes = _tape_nodes(model._walk_state(items))
+    assert sorted(n.op for n in nodes) == ["gather_rows", "gru_sequence"]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +343,7 @@ def test_score_closed_form_with_only_biases_set():
     to d * relu(b_user_agg) . tanh(b_agg)."""
     rng = np.random.default_rng(23)
     kg, model, params, cfg, items = synth.random_model_setup(rng, dim=4)
-    for name, t in params.trainable_items():
+    for name, t in params.items():
         t.data[...] = 0.0
     params["agg_b"].data[...] = 0.3
     params["user_agg_b"].data[...] = 0.2
@@ -491,11 +512,8 @@ def _concat_q(model, items, user_rows, row_items, force=None):
         weighted = ad.mul(ad.reshape(alpha, len(cells), 1), ad.gather_rows(e_t, cells))
         fused = aggregate(e_rows, ad.sum_row_groups(weighted, s))
     if mode != "local":
-        h = ad.constant(np.zeros(e_h.shape))
-        for step in range(items.ctx_rev.shape[1]):
-            x = ad.gather_rows(p["entity_emb"], items.ctx_rev[:, step])
-            h = ad.elementwise_gate(ad.constant(items.ctx_mask[:, step:step + 1]),
-                                    ad.gru_cell(x, h, model.gru), h)
+        h = synth.gru_run(ad.gather_rows(p["entity_emb"], items.ctx_rev.T.ravel()),
+                          items.ctx_mask, model.gru)
         c_nonlocal = ad.gather_rows(aggregate(e_h, h), row_items)
         fused = c_nonlocal if fused is None else ad.elementwise_gate(
             ad.sigmoid(p["gate_w"]), fused, c_nonlocal)
@@ -590,13 +608,13 @@ def test_split_gradients_match_the_concatenated_forward(flags):
         params.zero_grads()
         y_pos, y_neg = scores(batch)
         total_objective(model, y_pos, y_neg, quads, tcfg)[0].backward()
-        grads.append({name: t.grad.copy() for name, t in params.trainable_items()})
+        grads.append({name: t.grad.copy() for name, t in params.items()})
     # the graph term's relation fusion, which total_objective shares between both
     rels, tails = [q[1] for q in quads], [q[2] for q in quads]
     for fuse in (model.relation_fuse, lambda r, t: _concat_relation_fuse(model, r, t)):
         params.zero_grads()
         ad.sum_all(ad.square(fuse(rels, tails))).backward()
-        grads.append({name: t.grad.copy() for name, t in params.trainable_items()})
+        grads.append({name: t.grad.copy() for name, t in params.items()})
     for split, concat in ((0, 1), (2, 3)):
         for name, grad in grads[split].items():
             np.testing.assert_allclose(grad, grads[concat][name], rtol=0, atol=1e-12,

@@ -170,7 +170,7 @@ def test_objective_reduces_to_bpr_when_lambdas_are_zero():
 
 def test_l2_term_is_zero_at_zero_parameters():
     kg, model, params, cfg, items, store, cache = _tiny_world(8)
-    for _, t in params.trainable_items():
+    for _, t in params.items():
         t.data[...] = 0.0
     assert params.l2_penalty().item() == 0.0
 
@@ -184,7 +184,7 @@ def test_objective_gradient_is_sum_of_part_gradients():
     def grads_of(builder):
         params.zero_grads()
         builder().backward()
-        return {name: t.grad.copy() for name, t in params.trainable_items()}
+        return {name: t.grad.copy() for name, t in params.items()}
 
     y_pos, y_neg = model.scores_batch(batch)
     total, _ = total_objective(model, y_pos, y_neg, quads, tcfg)
