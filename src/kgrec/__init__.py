@@ -9,10 +9,9 @@ from .graph import (IdMaps, InputError, InteractionStore, KnowledgeGraph, Triple
                     load_interactions, load_kg, split_interactions)
 from .model import (GraphContextModel, ItemContext, ModelConfig, ScoreContext,
                     init_params)
-from .sampling import (WalkCache, WalkConfig, build_walk_cache, nonlocal_context,
-                       run_walks, sample_bpr_tuples, sample_history,
-                       sample_kg_negatives, sample_local_neighbors, substream,
-                       walk_step)
+from .sampling import (WalkCache, WalkConfig, build_walk_cache, sample_bpr_tuples,
+                       sample_history, sample_kg_negatives, sample_local_neighbors,
+                       substream)
 from .training import TrainConfig, TrainReport, train
 
 __version__ = "0.1.0"

@@ -837,7 +837,10 @@ def load_checkpoint(path, registry: ParamRegistry) -> dict:
                     raise CheckpointError(
                         f"{path}: parameter {name!r} has shape ({rows}, {cols}), "
                         f"expected {p.shape}")
-                p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+                values = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+                if not np.isfinite(values).all():
+                    raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
+                p.data[...] = values
                 loaded.add(name)
     except struct.error:
         raise CheckpointError(f"{path}: checkpoint is truncated") from None

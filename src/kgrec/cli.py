@@ -83,8 +83,7 @@ def cmd_preprocess(args) -> int:
 def cmd_build_cache(args) -> int:
     cfg = _config_from(args)
     store, kg, item_entities, _ = _load_dataset(args)
-    cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed,
-                             workers=args.workers or cfg.workers)
+    cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed)
     cache.save(args.out)
     save_config(cfg, os.path.abspath(args.out) + ".config.ini")
     print(f"cached walk contexts for {cache.item_count} items")
@@ -187,8 +186,7 @@ def cmd_sweep(args) -> int:
         setattr(cfg, args.param, value)
         # walk parameters change the cache; rebuild when needed
         if args.param in ("gamma", "M", "L", "S") or args.cache is None:
-            cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed,
-                                     workers=cfg.workers)
+            cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed)
         else:
             cache = WalkCache.load(args.cache)
         params, _ = train(store, kg, item_entities, cache, cfg.model_config(),

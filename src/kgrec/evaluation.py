@@ -131,9 +131,7 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     Users without positives in the target split are skipped.
     """
     cfg = cfg or EvalConfig()
-    if cache.item_count != len(item_entities):
-        raise InputError(f"walk cache covers {cache.item_count} items, "
-                         f"dataset has {len(item_entities)}")
+    cache.check_fits(len(item_entities), kg.entity_count)
     started = time.perf_counter()
     contexts = ItemContextSet.build(kg, item_entities, cache, model_cfg.local_size,
                                     substream(seed, "eval-items"))

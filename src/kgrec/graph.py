@@ -453,6 +453,11 @@ def _read_dataset(dirpath):
                         _read_int_table(os.path.join(dirpath, "kg.tsv"), 3))
     item_entities = np.full(meta["items"], -1, dtype=np.int64)
     table = _read_int_table(os.path.join(dirpath, "item_entities.tsv"), 2)
+    bad = (table[:, 1] < 0) | (table[:, 1] >= kg.entity_count)
+    if bad.any():
+        row = tuple(table[np.argmax(bad)].tolist())
+        raise InputError(f"{dirpath}: item_entities.tsv row {row} names an entity "
+                         f"outside [0, {kg.entity_count})")
     item_entities[table[:, 0]] = table[:, 1]
     if (item_entities < 0).any():
         raise InputError(f"{dirpath}: item_entities.tsv is incomplete")

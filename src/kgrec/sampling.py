@@ -9,13 +9,12 @@ independently reproducible.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 import struct
 import warnings
 import zlib
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -91,63 +90,61 @@ def sample_local_neighbors(kg: KnowledgeGraph, entities, size: int,
     return rels, tails
 
 
-def walk_step(kg: KnowledgeGraph, prev: int | None, cur: int, gamma: float,
-              rng: np.random.Generator) -> int:
-    """One biased transition from ``cur``.
+def biased_steps(kg: KnowledgeGraph, prev, cur, gamma: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One biased transition of every walker, from the (n,) entities ``cur``
+    after the (n,) entities ``prev`` (None on the first step, which is uniform).
 
-    Candidates are the distinct neighbor entities of ``cur``; a candidate
-    weighs gamma when it equals the previous entity or neighbors it, and
-    1 - gamma otherwise.  Without a previous entity all weights tie, i.e. the
-    step is uniform.  An entity with no neighbors stays put.
+    A distinct neighbor of ``cur`` weighs gamma when it is ``prev`` or
+    neighbors it, and 1 - gamma otherwise; an entity with no neighbors stays
+    put.  Drawn by rejection: a uniform proposal is kept when it is far from
+    ``prev``, and with probability gamma / (1 - gamma) < 1 when it is near.
     """
-    candidates = kg.neighbors_of(cur)
-    if candidates.size == 0:
-        return cur
-    if prev is None:
-        return int(candidates[rng.integers(0, candidates.size)])
-    near_prev = candidates == prev
-    prev_neighbors = kg.neighbors_of(prev)
-    if prev_neighbors.size:
-        # prev_neighbors is sorted, so membership is a binary search per candidate
-        at = np.searchsorted(prev_neighbors, candidates).clip(max=prev_neighbors.size - 1)
-        near_prev |= prev_neighbors[at] == candidates
-    weights = np.where(near_prev, gamma, 1.0 - gamma)
-    weights = weights / weights.sum()
-    return int(rng.choice(candidates, p=weights))
+    start = kg.neighbor_offsets[cur]
+    degree = kg.neighbor_offsets[cur + 1] - start
+    nxt = np.array(cur, dtype=np.int64)
+    pending = np.flatnonzero(degree > 0)
+    keys = kg.closed_neighborhood_keys  # prev * E + x for x = prev or a neighbor
+    while pending.size:
+        cand = kg.neighbor_entities[start[pending] + rng.integers(0, degree[pending])]
+        accept = np.ones(pending.size, dtype=bool)
+        if prev is not None:
+            key = prev[pending] * kg.entity_count + cand
+            near = keys[np.searchsorted(keys, key).clip(max=keys.size - 1)] == key
+            accept = ~near | (rng.random(pending.size) < gamma / (1.0 - gamma))
+        nxt[pending[accept]] = cand[accept]
+        pending = pending[~accept]
+    return nxt
 
 
-def run_walks(kg: KnowledgeGraph, root: int, cfg: WalkConfig,
-              rng: np.random.Generator) -> list:
-    """``num_walks`` paths of ``walk_length`` entities each, roots excluded."""
-    paths = []
-    for _ in range(cfg.num_walks):
-        prev: int | None = None
-        cur = root
-        path = []
-        for _ in range(cfg.walk_length):
-            nxt = walk_step(kg, prev, cur, cfg.gamma, rng)
-            path.append(nxt)
-            prev, cur = cur, nxt
-        paths.append(path)
-    return paths
+def walk_paths(kg: KnowledgeGraph, roots, cfg: WalkConfig,
+               rng: np.random.Generator) -> np.ndarray:
+    """(len(roots), num_walks, walk_length) entities: every root's walks,
+    roots excluded, with all walkers stepping together."""
+    prev, cur = None, np.repeat(np.asarray(roots, dtype=np.int64), cfg.num_walks)
+    paths = np.empty((cur.size, cfg.walk_length), dtype=np.int64)
+    for k in range(cfg.walk_length):
+        prev, cur = cur, biased_steps(kg, prev, cur, cfg.gamma, rng)
+        paths[:, k] = cur
+    return paths.reshape(-1, cfg.num_walks, cfg.walk_length)
 
 
-def rank_walk_visits(paths, root: int, size: int) -> list:
-    """Top visited entities across paths: frequency descending, index ascending.
-
-    The root never appears in its own context.
-    """
-    counts = Counter()
-    for path in paths:
-        counts.update(path)
-    counts.pop(root, None)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [entity for entity, _ in ranked[:size]]
-
-
-def nonlocal_context(kg: KnowledgeGraph, root: int, cfg: WalkConfig,
-                     rng: np.random.Generator) -> list:
-    return rank_walk_visits(run_walks(kg, root, cfg, rng), root, cfg.context_size)
+def rank_visits(paths, roots, size: int) -> list:
+    """Every root's top ``size`` visited entities, never the root itself:
+    frequency descending, index ascending, as one int64 array per root.
+    ``paths`` holds one row of visits per root (any trailing shape)."""
+    roots = np.asarray(roots, dtype=np.int64)
+    visits = np.asarray(paths, dtype=np.int64)
+    visits = visits.reshape(len(roots), math.prod(visits.shape[1:]))
+    owners = np.broadcast_to(np.arange(len(roots))[:, None], visits.shape)
+    kept = visits != roots[:, None]
+    n = int(visits.max(initial=0)) + 1
+    keys, counts = np.unique(owners[kept] * n + visits[kept], return_counts=True)
+    order = np.lexsort((keys % n, -counts, keys // n))
+    owner, entity = keys[order] // n, keys[order] % n
+    # an owner's entries are a run; keep the first ``size`` of each
+    top = np.arange(owner.size) - np.searchsorted(owner, owner) < size
+    return np.split(entity[top], np.searchsorted(owner[top], np.arange(len(roots))))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +194,18 @@ class WalkCache:
         """``reverse_pad`` of every item's context at ``context_size``, as (I, C)
         id and mask arrays; built on first use and kept."""
         return reverse_pad(self.contexts, self.context_size)
+
+    def check_fits(self, item_count: int, entity_count: int) -> None:
+        """Raise ``InputError`` unless the cache covers ``item_count`` items
+        whose contexts name only entities below ``entity_count``."""
+        if self.item_count != item_count:
+            raise InputError(f"walk cache covers {self.item_count} items, "
+                             f"dataset has {item_count}")
+        top = self.padded_contexts[0].max(axis=1, initial=0)
+        if (top >= entity_count).any():
+            item = int(np.argmax(top >= entity_count))
+            raise InputError(f"walk cache context of item {item} names entity {top[item]}, "
+                             f"dataset has {entity_count} entities")
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -249,27 +258,13 @@ class WalkCache:
         return cls(contexts, context_size, seed, gamma, num_walks, walk_length)
 
 
-def _cache_entry(item: int, kg: KnowledgeGraph, item_entities, cfg: WalkConfig,
-                 seed: int) -> np.ndarray:
-    # one generator per item (seed xor item) so parallel builds are bit-identical
-    rng = np.random.default_rng(seed ^ item)
-    ctx = nonlocal_context(kg, int(item_entities[item]), cfg, rng)
-    return np.asarray(ctx, dtype=np.int64)
-
-
 def build_walk_cache(kg: KnowledgeGraph, item_entities, cfg: WalkConfig,
                      seed: int, workers: int = 1) -> WalkCache:
-    items = list(range(len(item_entities)))
-    worker = partial(_cache_entry, kg=kg, item_entities=item_entities, cfg=cfg, seed=seed)
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(items) // (workers * 4))
-        with ctx.Pool(workers) as pool:
-            contexts = pool.map(worker, items, chunksize=chunk)
-    else:
-        contexts = [worker(item) for item in items]
-    return WalkCache(contexts, cfg.context_size, seed, cfg.gamma,
-                     cfg.num_walks, cfg.walk_length)
+    """Every item's ranked walk context, from the ``walks`` sub-stream of
+    ``seed``.  ``workers`` is accepted and ignored."""
+    paths = walk_paths(kg, item_entities, cfg, substream(seed, "walks"))
+    return WalkCache(rank_visits(paths, item_entities, cfg.context_size), cfg.context_size,
+                     seed, cfg.gamma, cfg.num_walks, cfg.walk_length)
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,7 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
     """
     if not store.users_in("train").size:
         raise InputError("training split is empty")
-    if cache.item_count != store.item_count:
-        raise InputError(f"walk cache covers {cache.item_count} items, "
-                         f"dataset has {store.item_count}")
+    cache.check_fits(store.item_count, kg.entity_count)
 
     seed = train_cfg.seed
     rng_init = substream(seed, "init")

@@ -20,9 +20,9 @@ from kgrec.cli import main
 from kgrec.evaluation import EvalConfig, evaluate, metrics_for_user
 from kgrec.graph import KnowledgeGraph, Triple
 from kgrec.model import GraphContextModel, ModelConfig, init_params
-from kgrec.sampling import (WalkConfig, build_walk_cache, nonlocal_context,
-                            run_walks, sample_bpr_tuples, sample_kg_negatives,
-                            substream, walk_step)
+from kgrec.sampling import (WalkConfig, biased_steps, build_walk_cache,
+                            sample_bpr_tuples, sample_kg_negatives, substream,
+                            walk_paths)
 from kgrec.training import TrainConfig, kg_distance, kg_loss, train
 
 import synth
@@ -178,14 +178,16 @@ def test_c3a_walk_context_equals_brute_force_counts():
         kg = synth.random_kg(meta)
         root = int(meta.integers(kg.entity_count))
         seed = int(meta.integers(1 << 30))
-        got = nonlocal_context(kg, root, cfg, np.random.default_rng(seed))
-        counts = collections.Counter()
-        for path in run_walks(kg, root, cfg, np.random.default_rng(seed)):
-            counts.update(e for e in path if e != root)
-        expected = [e for e, _ in sorted(counts.items(),
-                                         key=lambda kv: (-kv[1], kv[0]))][:3]
-        assert got == expected, f"trial {trial}"
-    _report("C3a", "100 random graphs, exact equality")
+        # every entity is an item, the drawn root first
+        roots = (root + np.arange(kg.entity_count)) % kg.entity_count
+        cache = build_walk_cache(kg, roots, cfg, seed)
+        paths = walk_paths(kg, roots, cfg, substream(seed, "walks"))
+        for item, (r, walks) in enumerate(zip(roots.tolist(), paths.tolist())):
+            counts = collections.Counter(e for path in walks for e in path if e != r)
+            expected = [e for e, _ in sorted(counts.items(),
+                                             key=lambda kv: (-kv[1], kv[0]))][:3]
+            assert cache.context(item).tolist() == expected, f"trial {trial} item {item}"
+    _report("C3a", "100 random graphs, every entity an item, exact equality")
 
 
 def test_c3b_transition_frequencies_match_weights():
@@ -193,8 +195,10 @@ def test_c3b_transition_frequencies_match_weights():
                Triple(3, 0, 4)]
     kg = KnowledgeGraph(5, 4, triples)
     gamma, n = 0.2, 100_000
-    rng = np.random.default_rng(304)
-    counts = collections.Counter(walk_step(kg, 0, 1, gamma, rng) for _ in range(n))
+    # n copies of the (prev, cur) = (0, 1) transition in one step call
+    steps = biased_steps(kg, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                         gamma, np.random.default_rng(304))
+    counts = collections.Counter(steps.tolist())
     expected = {0: 1 / 6, 2: 1 / 6, 3: 2 / 3}
     for entity, p in expected.items():
         sigma = math.sqrt(p * (1 - p) / n)
@@ -362,8 +366,7 @@ def test_c8_lastfm_reproduction(tmp_path):
     kg, item_entities = load_kg(os.path.join(LASTFM_DIR, "kg.tsv"),
                                 os.path.join(LASTFM_DIR, "item_map.tsv"), maps)
     store = split_interactions(store, (0.6, 0.2, 0.2), seed=7)
-    cache = build_walk_cache(kg, item_entities, WalkConfig(0.2, 15, 8, 4), seed=7,
-                             workers=4)
+    cache = build_walk_cache(kg, item_entities, WalkConfig(0.2, 15, 8, 4), seed=7)
     mcfg = ModelConfig(dim=32, local_size=4, history_size=16)
     ecfg = EvalConfig(k_values=(10, 20, 50))
     # lambda2 leans high in its grid: it must counter the unbounded graph

@@ -316,6 +316,77 @@ def test_evaluate_with_cache_of_other_item_count_exits_one(pipeline, tmp_path):
         assert code == 1
 
 
+def _init_checkpoint(dataset, path):
+    """A checkpoint of freshly initialized default-config parameters."""
+    store, kg, _, _ = load_dataset(dataset)
+    params = init_params(ModelConfig(), store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, np.random.default_rng(0))
+    save_checkpoint(path, params, _checkpoint_meta(store, kg))
+    return params
+
+
+@pytest.mark.parametrize("command", ["build-cache", "train", "evaluate"])
+def test_item_entity_out_of_range_exits_one(pipeline, capsys, command):
+    tmp_path, dataset, cache = pipeline
+    ckpt = tmp_path / "init.bin"
+    _init_checkpoint(dataset, ckpt)
+    _, kg, _, _ = load_dataset(dataset)
+    rows = (dataset / "item_entities.tsv").read_text().splitlines()
+    rows[3] = f"3\t{kg.entity_count}"
+    (dataset / "item_entities.tsv").write_text("\n".join(rows) + "\n")
+    args = {"build-cache": ["--out", str(tmp_path / "again.bin")],
+            "train": ["--cache", str(cache), "--out", str(tmp_path / "run")] + FAST_TRAIN,
+            "evaluate": ["--cache", str(cache), "--checkpoint", str(ckpt)]}[command]
+    capsys.readouterr()
+    assert main([command, "--dataset", str(dataset)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert f"item_entities.tsv row (3, {kg.entity_count}) names an entity outside" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("fault, message", [
+    ("items", "walk cache covers 15 items, dataset has 16"),
+    ("entity", "walk cache context of item 2 names entity 999, dataset has 34 entities"),
+])
+def test_cache_that_does_not_fit_the_dataset_exits_one(pipeline, capsys, command, fault,
+                                                        message):
+    tmp_path, dataset, cache = pipeline
+    ckpt = tmp_path / "init.bin"
+    _init_checkpoint(dataset, ckpt)
+    walks = WalkCache.load(cache)
+    contexts = list(walks.contexts)
+    if fault == "items":
+        contexts.pop()
+    else:
+        contexts[2] = np.concatenate([[999], contexts[2]])[:walks.context_size]
+    other = tmp_path / "other.bin"
+    dataclasses.replace(walks, contexts=contexts).save(other)
+    args = {"train": ["--out", str(tmp_path / "run")] + FAST_TRAIN,
+            "evaluate": ["--checkpoint", str(ckpt)]}[command]
+    capsys.readouterr()
+    assert main([command, "--dataset", str(dataset), "--cache", str(other)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_exits_one(pipeline, capsys, value):
+    tmp_path, dataset, cache = pipeline
+    ckpt = tmp_path / "init.bin"
+    params = _init_checkpoint(dataset, ckpt)
+    params["attn_W_h"].data[1, 2] = value
+    store, kg, _, _ = load_dataset(dataset)
+    save_checkpoint(ckpt, params, _checkpoint_meta(store, kg))
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(ckpt), "--split", "test"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "parameter 'attn_W_h' holds non-finite values" in err
+
+
 def test_checkpoint_path_that_is_a_directory_exits_one(pipeline, capsys):
     tmp_path, dataset, cache = pipeline
     capsys.readouterr()

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from kgrec.graph import InputError, InteractionStore, KnowledgeGraph, Triple
-from kgrec.sampling import (WalkCache, WalkConfig, build_walk_cache,
-                            nonlocal_context, rank_walk_visits, reverse_pad, run_walks,
-                            sample_bpr_tuples, sample_history,
-                            sample_kg_negatives, sample_local_neighbors,
-                            substream, walk_step)
+from kgrec.sampling import (WalkCache, WalkConfig, biased_steps, build_walk_cache,
+                            rank_visits, reverse_pad, sample_bpr_tuples, sample_history,
+                            sample_kg_negatives, sample_local_neighbors, substream,
+                            walk_paths)
 
 import synth
 
@@ -136,9 +135,11 @@ def test_neighbor_slots_are_uniform_with_replacement_when_degree_is_short():
 
 
 def _freqs(kg, prev, cur, gamma, n, seed=0):
-    rng = np.random.default_rng(seed)
-    counts = collections.Counter(walk_step(kg, prev, cur, gamma, rng)
-                                 for _ in range(n))
+    """Frequencies of n copies of one (prev, cur) transition, drawn in one
+    step call; a None prev is a first step."""
+    prevs = None if prev is None else np.full(n, prev)
+    steps = biased_steps(kg, prevs, np.full(n, cur), gamma, np.random.default_rng(seed))
+    counts = collections.Counter(steps.tolist())
     return {e: c / n for e, c in counts.items()}
 
 
@@ -188,35 +189,53 @@ def test_transition_frequencies_match_normalized_weights():
     _assert_within_3_sigma(freqs, expected, n)
 
 
-def _walk_step_isin(kg, prev, cur, gamma, rng):
-    """The transition with ``np.isin`` membership, as walk_step first computed it."""
+def _walk_step_isin(kg, prev, cur, gamma):
+    """Candidates of one transition and their probabilities, with ``np.isin``
+    membership, as the per-walker step first computed them."""
     candidates = kg.neighbors_of(cur)
     if candidates.size == 0:
-        return cur
+        return np.array([cur]), np.ones(1)
     if prev is None:
-        return int(candidates[rng.integers(0, candidates.size)])
+        return candidates, np.full(candidates.size, 1.0 / candidates.size)
     near_prev = np.isin(candidates, kg.neighbors_of(prev)) | (candidates == prev)
     weights = np.where(near_prev, gamma, 1.0 - gamma)
-    weights = weights / weights.sum()
-    return int(rng.choice(candidates, p=weights))
+    return candidates, weights / weights.sum()
 
 
 def test_walk_step_matches_the_isin_reference():
+    # 1000 copies of each of 30 (prev, cur) pairs per graph, in one step call
+    # after a previous entity and one without; one Pearson statistic over all
     meta = np.random.default_rng(93)
+    n, stat, dof = 1000, 0.0, 0
+    seen = collections.Counter()
     for _ in range(60):
         kg = synth.random_kg(meta)
-        seed = int(meta.integers(1 << 30))
-        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(30):
-            cur = int(meta.integers(kg.entity_count))
-            # any entity, linked to cur or not, isolated or not, or no previous
-            prev = None if meta.random() < 0.1 else int(meta.integers(kg.entity_count))
-            assert walk_step(kg, prev, cur, 0.2, got) == _walk_step_isin(kg, prev, cur, 0.2, want)
+        rng = np.random.default_rng(int(meta.integers(1 << 30)))
+        # any entity, linked to cur or not, isolated or not
+        curs = meta.integers(kg.entity_count, size=30)
+        prevs = meta.integers(kg.entity_count, size=30)
+        for prev in (prevs, None):
+            steps = biased_steps(kg, None if prev is None else np.repeat(prev, n),
+                                 np.repeat(curs, n), 0.2, rng).reshape(30, n)
+            for j, cur in enumerate(curs.tolist()):
+                p_prev = None if prev is None else int(prev[j])
+                candidates, p = _walk_step_isin(kg, p_prev, cur, 0.2)
+                counts = np.bincount(steps[j], minlength=kg.entity_count)[candidates]
+                assert counts.sum() == n, (p_prev, cur, steps[j])
+                stat += float(((counts - n * p) ** 2 / (n * p)).sum())
+                dof += candidates.size - 1
+                seen["isolated"] += kg.neighbors_of(cur).size == 0
+                seen["far"] += p_prev is not None and p_prev != cur \
+                    and not kg.is_neighbor(p_prev, cur)
+    assert stat <= _chi2_upper(dof), (stat, dof)
+    assert seen["isolated"] and seen["far"], seen
 
 
 def test_stuck_walker_stays_put():
     kg = KnowledgeGraph(3, 1, [Triple(0, 0, 1)])
-    assert walk_step(kg, None, 2, 0.2, np.random.default_rng(0)) == 2
+    rng = np.random.default_rng(0)
+    assert biased_steps(kg, None, np.array([2]), 0.2, rng).tolist() == [2]
+    assert biased_steps(kg, np.array([0, 2]), np.array([2, 2]), 0.2, rng).tolist() == [2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -224,63 +243,63 @@ def test_stuck_walker_stays_put():
 # ---------------------------------------------------------------------------
 
 
-def test_run_walks_shapes_and_adjacency():
+def test_walk_paths_shapes_and_adjacency():
     rng = np.random.default_rng(3)
     kg = synth.random_kg(rng, 10, 2, 25)
     cfg = WalkConfig(gamma=0.2, num_walks=15, walk_length=8, context_size=4)
-    root = 0
-    paths = run_walks(kg, root, cfg, np.random.default_rng(1))
-    assert len(paths) == 15 and all(len(p) == 8 for p in paths)
-    assert sum(len(p) for p in paths) == 120
-    for path in paths:
-        prev = root
-        for step in path:
-            assert kg.is_neighbor(prev, step) or step == prev
-            prev = step
+    roots = [0, 3, 0]
+    paths = walk_paths(kg, roots, cfg, np.random.default_rng(1))
+    assert paths.shape == (3, 15, 8) and paths.dtype == np.int64
+    for root, walks in zip(roots, paths.tolist()):
+        for path in walks:
+            prev = root
+            for step in path:
+                assert kg.is_neighbor(prev, step) or step == prev
+                prev = step
 
 
 def test_two_node_walk_stays_in_component():
     kg = KnowledgeGraph(2, 1, [Triple(0, 0, 1)])
     cfg = WalkConfig(gamma=0.2, num_walks=3, walk_length=6, context_size=2)
-    for path in run_walks(kg, 0, cfg, np.random.default_rng(2)):
-        assert set(path) <= {0, 1}
+    assert set(walk_paths(kg, [0], cfg, np.random.default_rng(2)).ravel().tolist()) <= {0, 1}
 
 
 def test_walks_are_seed_deterministic():
     rng = np.random.default_rng(4)
     kg = synth.random_kg(rng, 8, 2, 20)
     cfg = WalkConfig(gamma=0.3, num_walks=5, walk_length=4, context_size=2)
-    assert run_walks(kg, 1, cfg, np.random.default_rng(9)) == \
-        run_walks(kg, 1, cfg, np.random.default_rng(9))
+    np.testing.assert_array_equal(walk_paths(kg, [1, 2], cfg, np.random.default_rng(9)),
+                                  walk_paths(kg, [1, 2], cfg, np.random.default_rng(9)))
 
 
 def test_rank_breaks_ties_by_entity_index():
-    paths = [[2] * 7 + [1] * 7 + [3] * 3]
-    assert rank_walk_visits(paths, root=0, size=2) == [1, 2]
+    # the second root visits only itself, so its context is empty
+    paths = [[2] * 7 + [1] * 7 + [3] * 3, [5] * 17]
+    ranked = rank_visits(paths, roots=[0, 5], size=2)
+    assert [ctx.tolist() for ctx in ranked] == [[1, 2], []]
+    assert all(ctx.dtype == np.int64 for ctx in ranked)
 
 
 def test_rank_excludes_root():
     paths = [[0] * 50 + [4] * 3]
-    assert rank_walk_visits(paths, root=0, size=2) == [4]
+    assert [ctx.tolist() for ctx in rank_visits(paths, roots=[0], size=2)] == [[4]]
 
 
-def test_nonlocal_context_matches_brute_force_counter():
+def test_walk_contexts_match_brute_force_counter():
+    # several roots per graph, repeats allowed, ranked in one call
     cfg = WalkConfig(gamma=0.25, num_walks=6, walk_length=5, context_size=3)
     meta_rng = np.random.default_rng(77)
     for trial in range(100):
         kg = synth.random_kg(meta_rng)
-        root = int(meta_rng.integers(kg.entity_count))
+        roots = meta_rng.integers(kg.entity_count, size=5)
         seed = int(meta_rng.integers(1 << 30))
-        paths = run_walks(kg, root, cfg, np.random.default_rng(seed))
-        got = nonlocal_context(kg, root, cfg, np.random.default_rng(seed))
-        counter = collections.Counter()
-        for path in paths:
-            for entity in path:
-                if entity != root:
-                    counter[entity] += 1
-        expected = [e for e, _ in sorted(counter.items(),
-                                         key=lambda kv: (-kv[1], kv[0]))][:cfg.context_size]
-        assert got == expected, f"trial {trial}"
+        paths = walk_paths(kg, roots, cfg, np.random.default_rng(seed))
+        got = rank_visits(paths, roots, cfg.context_size)
+        for root, walks, ctx in zip(roots.tolist(), paths.tolist(), got):
+            counter = collections.Counter(e for path in walks for e in path if e != root)
+            expected = [e for e, _ in sorted(counter.items(),
+                                             key=lambda kv: (-kv[1], kv[0]))][:cfg.context_size]
+            assert ctx.tolist() == expected, f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +311,8 @@ def test_cache_has_one_entry_per_item():
     kg = synth.star_kg(6)
     cache = build_walk_cache(kg, np.array([1, 2, 3]), WalkConfig(0.2, 3, 3, 2), seed=5)
     assert cache.item_count == 3
+    empty = build_walk_cache(kg, np.zeros(0, dtype=np.int64), WalkConfig(0.2, 3, 3, 2), seed=5)
+    assert empty.item_count == 0
 
 
 def test_cache_rebuild_is_bit_identical(tmp_path):
@@ -307,15 +328,14 @@ def test_cache_rebuild_is_bit_identical(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_parallel_cache_build_matches_serial():
+def test_workers_change_nothing(tmp_path):
     rng = np.random.default_rng(8)
     kg = synth.random_kg(rng, 12, 2, 30)
     items = np.arange(8)
     cfg = WalkConfig(0.2, 4, 4, 3)
-    serial = build_walk_cache(kg, items, cfg, seed=13)
-    parallel = build_walk_cache(kg, items, cfg, seed=13, workers=2)
-    for i in range(8):
-        np.testing.assert_array_equal(serial.context(i), parallel.context(i))
+    build_walk_cache(kg, items, cfg, seed=13).save(tmp_path / "default.bin")
+    build_walk_cache(kg, items, cfg, seed=13, workers=2).save(tmp_path / "workers.bin")
+    assert (tmp_path / "default.bin").read_bytes() == (tmp_path / "workers.bin").read_bytes()
 
 
 def test_wellconnected_items_fill_the_context():
