@@ -300,19 +300,6 @@ def repeat_rows(a: Tensor, k: int) -> Tensor:
     return _finish(out, (a,), backprop)
 
 
-def sum_row_groups(a: Tensor, k: int) -> Tensor:
-    """Sum consecutive groups of k rows; inverse layout of ``repeat_rows``."""
-    n, m = a.shape
-    if k < 1 or n % k != 0:
-        raise ShapeError(f"sum_row_groups: {n} rows not divisible by k={k}")
-    out = Tensor(a.data.reshape(n // k, k, m).sum(axis=1), op="sum_row_groups")
-
-    def backprop():
-        _accum(a, np.repeat(out.grad, k, axis=0), owned=True)
-
-    return _finish(out, (a,), backprop)
-
-
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != a.data.size:
         raise ShapeError(f"reshape: {a.shape} -> ({rows}, {cols})")
@@ -400,16 +387,6 @@ def _softmax_data(x: np.ndarray) -> np.ndarray:
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (g - (g * y).sum(axis=1, keepdims=True)) * y
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax; each output row is a probability vector."""
-    out = Tensor(_softmax_data(a.data), op="softmax_rows")
-
-    def backprop():
-        _accum(a, _softmax_backward(out.grad, out.data), owned=True)
-
-    return _finish(out, (a,), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +477,117 @@ def neighbor_aggregate(alpha: Tensor, tails: Tensor, base: Tensor, row_items) ->
         _accum_rows(base, items, g)
 
     return _finish(out, (alpha, tails, base), backprop)
+
+
+# ---------------------------------------------------------------------------
+# fused history attention
+# ---------------------------------------------------------------------------
+#
+# T target rows attend over a history of n rows.  In the shared form every
+# target reads one history: its logits are (1, n) and its value rows (n, d).
+# In the per-tuple form target t reads its own, rows t*n .. t*n+n-1 of (T*n, d)
+# value rows, with (T, n) logits and a (T, 1) mask that is 0.0 where the
+# history is empty.
+
+
+def history_softmax(a_t: Tensor, h: Tensor, b: Tensor) -> Tensor:
+    """beta (T, n), the row-wise softmax of tanh(a_t + h + b): a_t (T, 1) per
+    target, h (T, n) per target or (1, n) shared by all, b (1, 1)."""
+    t, n = a_t.shape[0], h.shape[1]
+    if a_t.shape[1] != 1 or h.shape[0] not in (1, t) or b.shape != (1, 1):
+        raise ShapeError(f"history_softmax: a_t {a_t.shape}, h {h.shape}, b {b.shape}")
+    # laid out (n, T), so that every step runs along rows of T
+    act = np.empty((n, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(h.data.T, a_t.data.T, out=act)
+        act += b.data
+    # tanh saturates, so an overflow must be caught before it
+    if not np.isfinite(act).all():
+        raise NumericError("op 'history_softmax' produced non-finite values")
+    np.tanh(act, out=act)
+    # tanh bounds the logits to [-1, 1], so exp needs no shift by their maximum
+    beta = np.exp(act)
+    beta /= beta.sum(axis=0)
+    out = Tensor(beta.T, op="history_softmax")
+
+    def backprop():
+        g = _softmax_backward(out.grad, out.data)
+        g *= 1.0 - act.T * act.T
+        _accum(a_t, g.sum(axis=1, keepdims=True), owned=True)
+        _accum(b, _unbroadcast(g, b.shape), owned=True)
+        # last: a per-target h adopts g
+        _accum(h, _unbroadcast(g, h.shape), owned=True)
+
+    return _finish(out, (a_t, h, b), backprop)
+
+
+def history_context(beta: Tensor, values: Tensor, pre: Tensor, mask=None) -> Tensor:
+    """c_u (T, d) = relu(pre + sum_j beta[t, j] v_j) over T targets, with
+    pre (T, d) per target or (1, d) shared by all.  Without ``mask`` the n
+    value rows (n, d) are one history shared by every target; with ``mask``
+    (T, 1) they are (T*n, d), n per target, and the mask scales each sum."""
+    t, n = beta.shape
+    d = values.shape[1]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+    if (values.shape[0] != (n if mask is None else t * n) or pre.shape[1] != d
+            or pre.shape[0] not in (1, t) or (mask is not None and mask.shape != (t, 1))):
+        raise ShapeError(f"history_context: beta {beta.shape}, values {values.shape}, "
+                         f"pre {pre.shape}, mask {None if mask is None else mask.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mask is None:
+            data = beta.data @ values.data
+        else:
+            data = np.einsum("tn,tnd->td", beta.data, values.data.reshape(t, n, d))
+            data *= mask
+        data += pre.data
+    out = Tensor(np.maximum(data, 0.0, out=data), op="history_context")
+
+    def backprop():
+        g = out.grad * (out.data > 0.0)
+        g_sum = g if mask is None else g * mask
+        if beta.requires_grad:
+            _accum(beta, g_sum @ values.data.T if mask is None else
+                   np.einsum("td,tnd->tn", g_sum, values.data.reshape(t, n, d)), owned=True)
+        if values.requires_grad:
+            # beta may be laid out by columns; out= keeps the rows contiguous
+            _accum(values, beta.data.T @ g_sum if mask is None else
+                   np.multiply(beta.data[:, :, None], g_sum[:, None, :],
+                               out=np.empty((t, n, d))).reshape(t * n, d), owned=True)
+        # last: a per-target pre adopts g
+        _accum(pre, _unbroadcast(g, pre.shape), owned=True)
+
+    return _finish(out, (beta, values, pre), backprop)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(T, 1) dot products of the rows of b with a's rows, or with a's one row."""
+    return (b @ a[0] if a.shape[0] == 1 else np.einsum("td,td->t", a, b))[:, None]
+
+
+def pair_scores(e_u: Tensor, e_t: Tensor, c_u: Tensor, f_t: Tensor) -> Tensor:
+    """(T, 1): row t is e_u·e_t + c_u·f_t, the user halves (e_u, c_u) against
+    the item halves (e_t, f_t), each (T, d); a user half of one row is shared
+    by every target."""
+    t, d = e_t.shape
+    if f_t.shape != (t, d) or any(u.shape[1] != d or u.shape[0] not in (1, t)
+                                  for u in (e_u, c_u)):
+        raise ShapeError(f"pair_scores: e_u {e_u.shape}, e_t {e_t.shape}, "
+                         f"c_u {c_u.shape}, f_t {f_t.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = _row_dots(e_u.data, e_t.data)
+        data += _row_dots(c_u.data, f_t.data)
+    out = Tensor(data, op="pair_scores")
+
+    def backprop():
+        g = out.grad
+        for user, item in ((e_u, e_t), (c_u, f_t)):
+            if user.requires_grad:
+                _accum(user, _unbroadcast(g * item.data, user.shape), owned=True)
+            if item.requires_grad:
+                _accum(item, g * user.data, owned=True)
+
+    return _finish(out, (e_u, e_t, c_u, f_t), backprop)
 
 
 def elementwise_gate(s, a, b) -> Tensor:

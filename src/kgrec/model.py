@@ -285,6 +285,8 @@ class GraphContextModel:
     #   score = e_u·e_h + c_u·fused,  c_u = relu(e_u W_u + b_u + sum_j beta_j V_j),
     #   V_j = e_h,j W_he + fused_j W_hf,  beta = softmax(tanh(a_t + h + b)),
     #   a_t = e_h w1 + fused w2,  h_j = e_h,j w3 + fused_j w4.
+    # beta, c_u and the score are the fused ops history_softmax,
+    # history_context and pair_scores.
 
     def _attn_logits(self, e_h: Tensor, fused: Tensor, first: int) -> Tensor:
         """e_h w_first + fused w_(first+1), (R, 1); first 1 is a_t, 3 is h."""
@@ -306,24 +308,22 @@ class GraphContextModel:
 
     def _attention(self, e_t: Tensor, f_t: Tensor, logits: Tensor) -> Tensor:
         """beta (T, n); ``logits`` are (T, n), or (1, n) for one shared history."""
-        return ad.softmax_rows(ad.tanh(ad.add(ad.add(self._attn_logits(e_t, f_t, 1), logits),
-                                              self.params["hist_attn_b"])))
+        return ad.history_softmax(self._attn_logits(e_t, f_t, 1), logits,
+                                  self.params["hist_attn_b"])
 
     def _head(self, user, e_t: Tensor, f_t: Tensor, history,
-              mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
+              mask=None) -> tuple[Tensor, Tensor]:
         """(score (T, 1), c_u) of T targets.  ``user`` is from ``_user_rows``
         (one row per target, or one for all), ``history`` from ``_history``
-        (None when empty), and ``mask`` (T, 1) zeroes empty histories."""
+        (None when empty): one history shared by every target, or with
+        ``mask`` (T, 1), which zeroes empty histories, one per target."""
         e_u, pre = user
-        if history is not None:
+        if history is None:
+            c_u = ad.relu(pre)
+        else:
             logits, values = history
-            beta = self._attention(e_t, f_t, logits)
-            t, n = beta.shape
-            context = (ad.matmul(beta, values) if logits.shape[0] == 1 else
-                       ad.sum_row_groups(ad.mul(ad.reshape(beta, t * n, 1), values), n))
-            pre = ad.add(pre, context if mask is None else ad.mul(context, mask))
-        c_u = ad.relu(pre)
-        return ad.add(ad.row_sums(ad.mul(e_u, e_t)), ad.row_sums(ad.mul(c_u, f_t))), c_u
+            c_u = ad.history_context(self._attention(e_t, f_t, logits), values, pre, mask)
+        return ad.pair_scores(e_u, e_t, c_u, f_t), c_u
 
     def shared_history_scores(self, user: int, e_h: Tensor, fused: Tensor,
                               history) -> Tensor:
@@ -416,6 +416,6 @@ class GraphContextModel:
         # tuple t's history is rows t*n .. t*n+n-1 of the trailing B*N rows
         history = self._history(*halves(k * b, k * b + b * n), n)
         user = self._user_rows(batch.tuple_users)
-        mask = ad.constant(batch.history_mask)
-        return [self._head(user, *halves(block * b, (block + 1) * b), history, mask)[0]
+        return [self._head(user, *halves(block * b, (block + 1) * b), history,
+                           batch.history_mask)[0]
                 for block in range(k)]

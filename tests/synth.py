@@ -6,6 +6,70 @@ from kgrec import autodiff as ad
 from kgrec.graph import InteractionStore, KnowledgeGraph, Triple
 
 
+def softmax_rows(a):
+    """Row-wise softmax as one node, shifted by each row's maximum: the
+    reference that the fused softmax ops are checked against."""
+    out = ad.Tensor(ad._softmax_data(a.data), op="softmax_rows")
+
+    def backprop():
+        ad._accum(a, ad._softmax_backward(out.grad, out.data), owned=True)
+
+    return ad._finish(out, (a,), backprop)
+
+
+def sum_row_groups(a, k):
+    """Sum consecutive groups of k rows, as one node; inverse layout of
+    ``ad.repeat_rows``."""
+    n, m = a.shape
+    if k < 1 or n % k != 0:
+        raise ad.ShapeError(f"sum_row_groups: {n} rows not divisible by k={k}")
+    out = ad.Tensor(a.data.reshape(n // k, k, m).sum(axis=1), op="sum_row_groups")
+
+    def backprop():
+        ad._accum(a, np.repeat(out.grad, k, axis=0), owned=True)
+
+    return ad._finish(out, (a,), backprop)
+
+
+def unfused_history_softmax(a_t, h, b):
+    """softmax_rows(tanh(a_t + h + b)) from elementary ops."""
+    return softmax_rows(ad.tanh(ad.add(ad.add(a_t, h), b)))
+
+
+def unfused_history_context(beta, values, pre, mask=None):
+    """relu(pre + mask ⊙ sum_j beta_j v_j) from elementary ops: one shared
+    history without ``mask``, n value rows per target with it."""
+    if mask is None:
+        context = ad.matmul(beta, values)
+    else:
+        t, n = beta.shape
+        context = ad.mul(sum_row_groups(ad.mul(ad.reshape(beta, t * n, 1), values), n),
+                         ad.constant(mask))
+    return ad.relu(ad.add(pre, context))
+
+
+def unfused_pair_scores(e_u, e_t, c_u, f_t):
+    """e_u·e_t + c_u·f_t per row from elementary ops."""
+    return ad.add(ad.row_sums(ad.mul(e_u, e_t)), ad.row_sums(ad.mul(c_u, f_t)))
+
+
+def tape_nodes(*roots, exclude=()):
+    """Op nodes on the tape behind ``roots``: every node reached through parent
+    links that records a gradient and is not a parameter, less the nodes
+    behind ``exclude``."""
+    def behind(starts):
+        seen, stack = {}, list(starts)
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node.requires_grad and not node.op.startswith("param:"):
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        return seen
+
+    skip = behind(exclude)
+    return [node for key, node in behind(roots).items() if key not in skip]
+
+
 def unfused_gate(s, a, b):
     """s ⊙ a + (1 - s) ⊙ b from elementary ops."""
     return ad.add(ad.mul(s, a), ad.mul(ad.sub(1.0, s), b))

@@ -57,13 +57,13 @@ def test_c1_gradient_suite():
         "slice_cols": (lambda r: ad.slice_cols(r["a"], 1, 3), {"a": (2, 5)}),
         "gather_rows": (lambda r: ad.gather_rows(r["a"], [2, 0, 2]), {"a": (3, 3)}),
         "repeat_rows": (lambda r: ad.repeat_rows(r["a"], 2), {"a": (3, 3)}),
-        "sum_row_groups": (lambda r: ad.sum_row_groups(r["a"], 3), {"a": (6, 2)}),
+        "sum_row_groups": (lambda r: synth.sum_row_groups(r["a"], 3), {"a": (6, 2)}),
         "reshape": (lambda r: ad.reshape(r["a"], 2, 6), {"a": (3, 4)}),
         "row_sums": (lambda r: ad.row_sums(r["a"]), {"a": (3, 4)}),
         "tanh": (lambda r: ad.tanh(r["a"]), {"a": (3, 4)}),
         "sigmoid": (lambda r: ad.sigmoid(r["a"]), {"a": (3, 4)}),
         "log_sigmoid": (lambda r: ad.log_sigmoid(r["a"]), {"a": (3, 4)}),
-        "softmax_rows": (lambda r: ad.softmax_rows(r["a"]), {"a": (3, 5)}),
+        "softmax_rows": (lambda r: synth.softmax_rows(r["a"]), {"a": (3, 5)}),
         "gate": (lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
                  {"s": (1, 4), "a": (3, 4), "b": (3, 4)}),
         "affine": (lambda r: ad.affine(r["x"], r["w"], r["b"]),
@@ -81,6 +81,18 @@ def test_c1_gradient_suite():
                                  {"f": (6, 3), "m": (1, 3)}),
         "neighbor_aggregate_all": (lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], None),
                                    {"a": (3, 2), "e": (6, 3), "b": (3, 3)}),
+        # a history of 2 rows per target (target 1's empty), and one shared
+        "history_softmax": (lambda r: ad.history_softmax(r["a"], r["h"], r["b"]),
+                            {"a": (3, 1), "h": (3, 2), "b": (1, 1)}),
+        "history_softmax_shared": (lambda r: ad.history_softmax(r["a"], r["h"], r["b"]),
+                                   {"a": (3, 1), "h": (1, 2), "b": (1, 1)}),
+        "history_context": (
+            lambda r: ad.history_context(r["s"], r["v"], r["p"], [[1.0], [0.0], [1.0]]),
+            {"s": (3, 2), "v": (6, 3), "p": (3, 3)}),
+        "history_context_shared": (lambda r: ad.history_context(r["s"], r["v"], r["p"]),
+                                   {"s": (3, 2), "v": (2, 3), "p": (1, 3)}),
+        "pair_scores": (lambda r: ad.pair_scores(r["u"], r["e"], r["c"], r["f"]),
+                        {"u": (3, 3), "e": (3, 3), "c": (1, 3), "f": (3, 3)}),
         "gru_sequence": (
             lambda r: ad.gru_sequence(r["x"], gru_mask, ad.GruParams(*(r[n] for n in gru_names))),
             {**{n: (1, 3) if n.endswith(("bz", "br", "bc")) else (3, 3) for n in gru_names},

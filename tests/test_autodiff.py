@@ -31,6 +31,10 @@ NBR_USERS = [1, 1, 0, 2, 0, 1, 2]
 NBR_S = 3
 # walk-context masks (U, C): full, partial and zero-length rows
 GRU_MASK = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=float)
+# history attention: T targets over n history rows; target 1's history is
+# empty in the per-tuple form
+HIST_T, HIST_N = 4, 3
+HIST_MASK = np.array([[1.0], [0.0], [1.0], [1.0]])
 
 
 def _gru_shapes(dx, dh, mask):
@@ -75,13 +79,13 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
     ("slice_cols", lambda r: ad.slice_cols(r["a"], 1, 4), {"a": (3, 5)}),
     ("gather_dup", lambda r: ad.gather_rows(r["a"], [0, 2, 0, 1, 0]), {"a": (3, 4)}),
     ("repeat_rows", lambda r: ad.repeat_rows(r["a"], 3), {"a": (2, 4)}),
-    ("sum_row_groups", lambda r: ad.sum_row_groups(r["a"], 2), {"a": (6, 3)}),
+    ("sum_row_groups", lambda r: synth.sum_row_groups(r["a"], 2), {"a": (6, 3)}),
     ("reshape", lambda r: ad.reshape(r["a"], 6, 2), {"a": (3, 4)}),
     ("row_sums", lambda r: ad.row_sums(r["a"]), {"a": (4, 5)}),
     ("tanh", lambda r: ad.tanh(r["a"]), {"a": (3, 4)}),
     ("sigmoid", lambda r: ad.sigmoid(r["a"]), {"a": (3, 4)}),
     ("log_sigmoid", lambda r: ad.log_sigmoid(r["a"]), {"a": (3, 4)}),
-    ("softmax_rows", lambda r: ad.softmax_rows(r["a"]), {"a": (4, 5)}),
+    ("softmax_rows", lambda r: synth.softmax_rows(r["a"]), {"a": (4, 5)}),
     ("gate", lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
      {"s": (3, 4), "a": (3, 4), "b": (3, 4)}),
     ("gate_broadcast", lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
@@ -98,6 +102,19 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
      {"f": (4 * NBR_S, 5), "m": (1, 5)}),
     ("neighbor_aggregate_all", lambda r: ad.neighbor_aggregate(r["a"], r["e"], r["b"], None),
      {"a": (4, NBR_S), "e": (4 * NBR_S, 5), "b": (4, 5)}),
+    # a history per target, and one shared by all targets
+    ("history_softmax", lambda r: ad.history_softmax(r["a"], r["h"], r["b"]),
+     {"a": (HIST_T, 1), "h": (HIST_T, HIST_N), "b": (1, 1)}),
+    ("history_softmax_shared", lambda r: ad.history_softmax(r["a"], r["h"], r["b"]),
+     {"a": (HIST_T, 1), "h": (1, HIST_N), "b": (1, 1)}),
+    ("history_context", lambda r: ad.history_context(r["s"], r["v"], r["p"], HIST_MASK),
+     {"s": (HIST_T, HIST_N), "v": (HIST_T * HIST_N, 5), "p": (HIST_T, 5)}),
+    ("history_context_shared", lambda r: ad.history_context(r["s"], r["v"], r["p"]),
+     {"s": (HIST_T, HIST_N), "v": (HIST_N, 5), "p": (1, 5)}),
+    ("pair_scores", lambda r: ad.pair_scores(r["u"], r["e"], r["c"], r["f"]),
+     {"u": (HIST_T, 5), "e": (HIST_T, 5), "c": (HIST_T, 5), "f": (HIST_T, 5)}),
+    ("pair_scores_shared", lambda r: ad.pair_scores(r["u"], r["e"], r["c"], r["f"]),
+     {"u": (1, 5), "e": (HIST_T, 5), "c": (1, 5), "f": (HIST_T, 5)}),
 ])
 def test_primitive_gradients(name, builder, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -127,18 +144,28 @@ def test_affine_gradient_tight():
         assert err < 1e-6
 
 
+def _softmaxes(x):
+    """The row softmax of x (1, k) by each softmax in autodiff: the neighbor
+    attention's over logits feat @ m, and the history attention's over
+    tanh(0 + x + 0)."""
+    k = x.shape[1]
+    zero = ad.constant(np.zeros((1, 1)))
+    return (ad.neighbor_softmax(ad.constant(x.data.T), ad.constant([[1.0]]), None, None, k),
+            ad.history_softmax(zero, x, zero))
+
+
 def test_softmax_is_probability_vector():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         x = ad.constant(rng.normal(scale=5.0, size=(1, int(rng.integers(1, 9)))))
-        y = ad.softmax_rows(x).data
-        assert (y >= 0).all()
-        assert abs(y.sum() - 1.0) <= 1e-12
+        for y in _softmaxes(x):
+            assert (y.data >= 0).all()
+            assert abs(y.data.sum() - 1.0) <= 1e-12
 
 
 def test_softmax_uniform_on_equal_inputs():
-    y = ad.softmax_rows(ad.constant(np.zeros((1, 3)))).data
-    np.testing.assert_allclose(y, np.full((1, 3), 1 / 3), atol=0)
+    for y in _softmaxes(ad.constant(np.zeros((1, 3)))):
+        np.testing.assert_allclose(y.data, np.full((1, 3), 1 / 3), atol=0)
 
 
 def test_gate_output_between_inputs():
@@ -232,8 +259,24 @@ def test_shape_errors():
         ad.matmul(a, b)
     with pytest.raises(ShapeError):
         ad.hstack(a, ad.constant(np.ones((3, 3))))
+    # the history ops: a_t one column, h one row or one per target, n value
+    # rows shared or n per target with a (T, 1) mask, user halves of one row
+    # or one per target
+    a_t, beta, pre = (ad.constant(np.ones(shape)) for shape in ((3, 1), (3, 2), (1, 4)))
+    for a, h, b in ((a_t, np.ones((2, 2)), [[0.0]]), (beta, np.ones((1, 2)), [[0.0]]),
+                    (a_t, np.ones((1, 2)), [[0.0, 0.0]])):
+        with pytest.raises(ShapeError):
+            ad.history_softmax(a, ad.constant(h), ad.constant(b))
+    for rows, mask in ((6, None), (2, np.ones((3, 1))), (6, np.ones((2, 1)))):
+        with pytest.raises(ShapeError):
+            ad.history_context(beta, ad.constant(np.ones((rows, 4))), pre, mask)
     with pytest.raises(ShapeError):
-        ad.sum_row_groups(a, 4)
+        ad.history_context(beta, ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 4))))
+    e_t = ad.constant(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        ad.pair_scores(ad.constant(np.ones((2, 4))), e_t, pre, e_t)
+    with pytest.raises(ShapeError):
+        ad.pair_scores(pre, e_t, pre, ad.constant(np.ones((3, 3))))
     with pytest.raises(ShapeError):
         ad.elementwise_gate(ad.constant(np.ones((1, 3))), a, b)
     with pytest.raises(ShapeError):
@@ -254,14 +297,14 @@ def _unfused_neighbor_softmax(feat, m, items, users, s):
     cells = (np.asarray(items)[:, None] * s + np.arange(s)).ravel()
     scores = ad.row_sums(ad.mul(ad.gather_rows(feat, cells),
                                 ad.repeat_rows(ad.gather_rows(m, users), s)))
-    return ad.softmax_rows(ad.reshape(scores, len(items), s))
+    return synth.softmax_rows(ad.reshape(scores, len(items), s))
 
 
 def _unfused_neighbor_sum(alpha, e_t, items):
     rows, s = alpha.shape
     cells = (np.asarray(items)[:, None] * s + np.arange(s)).ravel()
     weighted = ad.mul(ad.reshape(alpha, rows * s, 1), ad.gather_rows(e_t, cells))
-    return ad.sum_row_groups(weighted, s)
+    return synth.sum_row_groups(weighted, s)
 
 
 def _unfused_neighbor_aggregate(alpha, tails, base, items):
@@ -274,12 +317,12 @@ _FUSED_CASES = {
         lambda r: _unfused_neighbor_softmax(r["f"], r["m"], NBR_ITEMS, NBR_USERS, NBR_S),
         {"f": (4 * NBR_S, 6), "m": (3, 6)}),
     "neighbor_aggregate": (
-        lambda r: ad.neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"], NBR_ITEMS),
-        lambda r: _unfused_neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"],
+        lambda r: ad.neighbor_aggregate(synth.softmax_rows(r["a"]), r["e"], r["b"], NBR_ITEMS),
+        lambda r: _unfused_neighbor_aggregate(synth.softmax_rows(r["a"]), r["e"], r["b"],
                                               NBR_ITEMS),
         {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 6), "b": (4, 6)}),
-    # the gate and the GRU keep the unfused arithmetic, so their forward is
-    # compared bit for bit (and the gate's gradients too)
+    # the gate, the GRU and the shared history context keep the unfused
+    # arithmetic, so their forward is compared bit for bit (see _EXACT)
     "elementwise_gate": (
         lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
         lambda r: synth.unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
@@ -292,7 +335,37 @@ _FUSED_CASES = {
         lambda r: gru_sequence(r["x"], GRU_MASK, _gru_params(r)),
         lambda r: synth.gru_run(r["x"], GRU_MASK, _gru_params(r)),
         _gru_shapes(5, 4, GRU_MASK)),
+    "history_softmax": (
+        lambda r: ad.history_softmax(r["a"], r["h"], r["b"]),
+        lambda r: synth.unfused_history_softmax(r["a"], r["h"], r["b"]),
+        {"a": (HIST_T, 1), "h": (HIST_T, HIST_N), "b": (1, 1)}),
+    "history_softmax_shared": (
+        lambda r: ad.history_softmax(r["a"], r["h"], r["b"]),
+        lambda r: synth.unfused_history_softmax(r["a"], r["h"], r["b"]),
+        {"a": (HIST_T, 1), "h": (1, HIST_N), "b": (1, 1)}),
+    "history_context": (
+        lambda r: ad.history_context(synth.softmax_rows(r["s"]), r["v"], r["p"], HIST_MASK),
+        lambda r: synth.unfused_history_context(synth.softmax_rows(r["s"]), r["v"], r["p"],
+                                                HIST_MASK),
+        {"s": (HIST_T, HIST_N), "v": (HIST_T * HIST_N, 6), "p": (HIST_T, 6)}),
+    "history_context_shared": (
+        lambda r: ad.history_context(synth.softmax_rows(r["s"]), r["v"], r["p"]),
+        lambda r: synth.unfused_history_context(synth.softmax_rows(r["s"]), r["v"], r["p"]),
+        {"s": (HIST_T, HIST_N), "v": (HIST_N, 6), "p": (1, 6)}),
+    "pair_scores": (
+        lambda r: ad.pair_scores(r["u"], r["e"], r["c"], r["f"]),
+        lambda r: synth.unfused_pair_scores(r["u"], r["e"], r["c"], r["f"]),
+        {"u": (HIST_T, 6), "e": (HIST_T, 6), "c": (HIST_T, 6), "f": (HIST_T, 6)}),
+    "pair_scores_shared": (
+        lambda r: ad.pair_scores(r["u"], r["e"], r["c"], r["f"]),
+        lambda r: synth.unfused_pair_scores(r["u"], r["e"], r["c"], r["f"]),
+        {"u": (1, 6), "e": (HIST_T, 6), "c": (1, 6), "f": (HIST_T, 6)}),
 }
+# the cases whose values, and whose gradients, are compared bit for bit; the
+# history softmax drops the shift by the row maximum and sums down columns,
+# and the row dots and the per-tuple sums may run in another order
+_EXACT = {"values": ("elementwise_gate", "gru_sequence", "history_context_shared"),
+          "grads": ("elementwise_gate", "history_context_shared", "pair_scores")}
 
 
 @pytest.mark.parametrize("name", sorted(_FUSED_CASES))
@@ -311,12 +384,12 @@ def test_fused_op_matches_unfused_composition(name):
             ad.sum_all(ad.mul(out, weight)).backward()
             results.append((out.data, {k: reg[k].grad.copy() for k in shapes}))
         (got, got_grads), (want, want_grads) = results
-        if name.startswith(("elementwise_gate", "gru_sequence")):
+        if name.startswith(_EXACT["values"]):
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for k in shapes:
-            if name.startswith("elementwise_gate"):
+            if name.startswith(_EXACT["grads"]):
                 np.testing.assert_array_equal(got_grads[k], want_grads[k], err_msg=k)
             else:
                 np.testing.assert_allclose(got_grads[k], want_grads[k], rtol=0, atol=1e-12,
@@ -337,7 +410,7 @@ def test_every_item_form_matches_the_indexed_form(op):
         shapes = {"a": (n_items, NBR_S), "e": (n_items * NBR_S, 6), "b": (n_items, 6)}
 
         def build(r, items):
-            return ad.neighbor_aggregate(ad.softmax_rows(r["a"]), r["e"], r["b"], items)
+            return ad.neighbor_aggregate(synth.softmax_rows(r["a"]), r["e"], r["b"], items)
     for _ in range(20):
         reg = _registry_with(rng, shapes)
         for k in shapes:
@@ -356,14 +429,52 @@ def test_every_item_form_matches_the_indexed_form(op):
                                        err_msg=k)
 
 
+@pytest.mark.parametrize("op", ["history_softmax", "history_context"])
+def test_shared_history_form_matches_the_per_tuple_form(op):
+    """One history shared by T targets reads as that history repeated for
+    every target, with no empty one."""
+    rng = np.random.default_rng(zlib.crc32(op.encode()) + 3)
+    if op == "history_softmax":
+        shapes = {"a": (HIST_T, 1), "h": (1, HIST_N), "b": (1, 1)}
+
+        def build(r, shared):
+            h = r["h"] if shared else ad.gather_rows(r["h"], np.zeros(HIST_T, dtype=int))
+            return ad.history_softmax(r["a"], h, r["b"])
+    else:
+        shapes = {"s": (HIST_T, HIST_N), "v": (HIST_N, 6), "p": (1, 6)}
+
+        def build(r, shared):
+            beta = synth.softmax_rows(r["s"])
+            if shared:
+                return ad.history_context(beta, r["v"], r["p"])
+            values = ad.gather_rows(r["v"], np.tile(np.arange(HIST_N), HIST_T))
+            return ad.history_context(beta, values, r["p"], np.ones((HIST_T, 1)))
+    for _ in range(20):
+        reg = _registry_with(rng, shapes)
+        for k in shapes:
+            reg[k].data *= 3.0
+        weight = ad.constant(rng.normal(size=build(reg, True).shape))
+        results = []
+        for shared in (True, False):
+            reg.zero_grads()
+            out = build(reg, shared)
+            ad.sum_all(ad.mul(out, weight)).backward()
+            results.append((out.data, {k: reg[k].grad.copy() for k in shapes}))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for k in shapes:
+            np.testing.assert_allclose(got_grads[k], want_grads[k], rtol=0, atol=1e-12,
+                                       err_msg=k)
+
+
 def test_fused_neighbor_ops_pick_rows_by_item_and_user():
     feat = ad.constant(np.arange(12.0).reshape(6, 2))       # 3 items, S = 2
     m = ad.constant([[1.0, 0.0], [0.0, 1.0]])
     alpha = ad.neighbor_softmax(feat, m, [2, 2, 0], [0, 1, 1], 2).data
     # row 0: item 2 (feature rows 4, 5) under user 0 reads column 0
-    np.testing.assert_allclose(alpha[0], ad.softmax_rows(ad.constant([[8.0, 10.0]])).data[0])
-    np.testing.assert_allclose(alpha[1], ad.softmax_rows(ad.constant([[9.0, 11.0]])).data[0])
-    np.testing.assert_allclose(alpha[2], ad.softmax_rows(ad.constant([[1.0, 3.0]])).data[0])
+    np.testing.assert_allclose(alpha[0], synth.softmax_rows(ad.constant([[8.0, 10.0]])).data[0])
+    np.testing.assert_allclose(alpha[1], synth.softmax_rows(ad.constant([[9.0, 11.0]])).data[0])
+    np.testing.assert_allclose(alpha[2], synth.softmax_rows(ad.constant([[1.0, 3.0]])).data[0])
     base = ad.constant([[0.0, 0.0], [0.5, -0.5], [9.0, 9.0]])
     tails = ad.constant(feat.data / 10.0)
     # row 0: item 1 (tail rows 2, 3) on base row 1
@@ -400,6 +511,19 @@ def test_fused_ops_name_themselves_on_overflow():
                               ad.constant(np.full((2, 2), 1e308)), [1])
     with pytest.raises(NumericError, match="'elementwise_gate'"):
         ad.elementwise_gate(ad.constant([[1e200]]), huge, huge)
+    # history logits that overflow only once a_t and h are summed, per target
+    # and shared; their tanh alone would hide it
+    a_t = ad.constant(np.full((2, 1), 1e308))
+    for h in (np.full((2, 3), 1e308), np.full((1, 3), 1e308)):
+        with pytest.raises(NumericError, match="'history_softmax'"):
+            ad.history_softmax(a_t, ad.constant(h), ad.constant([[0.0]]))
+    beta = ad.constant([[0.5, 0.5]])
+    for values, mask in ((np.full((2, 1), 1e308), None), (np.full((2, 1), 1e308), [[1.0]])):
+        with pytest.raises(NumericError, match="'history_context'"):
+            ad.history_context(beta, ad.constant(values), ad.constant([[1e308]]), mask)
+    with pytest.raises(NumericError, match="'pair_scores'"):
+        ad.pair_scores(ad.constant([[1e200]]), ad.constant([[1e200]]),
+                       ad.constant([[0.0]]), ad.constant([[0.0]]))
     rng = np.random.default_rng(37)
     mask = np.ones((1, 2))
     reg = _registry_with(rng, _gru_shapes(2, 2, mask))

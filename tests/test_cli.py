@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from kgrec import training
 from kgrec.autodiff import save_checkpoint
 from kgrec.cli import main
 from kgrec.config import load_config, save_config
@@ -297,6 +298,37 @@ def test_non_finite_evaluation_exits_two(pipeline):
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(ckpt), "--split", "test"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_history_logit_overflow_exits_two_naming_the_op(pipeline, monkeypatch, capsys, command):
+    """The history logit halves a_t and h are finite and their sum is not:
+    the fused softmax names itself before its tanh would hide the overflow,
+    over a history per tuple (train) and one shared history (evaluate)."""
+    tmp_path, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    init = training.init_params
+
+    def overflowing(cfg, *args):
+        params = init(cfg, *args)
+        params["entity_emb"].data[...] = 1.0
+        for k, value in ((1, 1e308 / cfg.dim), (2, 0.0), (3, 1e308 / cfg.dim), (4, 0.0)):
+            params[f"hist_attn_w{k}"].data[...] = value
+        return params
+
+    if command == "train":
+        monkeypatch.setattr(training, "init_params", overflowing)
+        args = ["--out", str(tmp_path / "blowup"), *FAST_TRAIN]
+    else:
+        params = overflowing(ModelConfig(), store.user_count, kg.entity_count,
+                             kg.relation_embedding_count, np.random.default_rng(0))
+        ckpt = tmp_path / "overflow.bin"
+        save_checkpoint(ckpt, params, _checkpoint_meta(store, kg))
+        args = ["--checkpoint", str(ckpt), "--split", "test"]
+    capsys.readouterr()
+    code = main([command, "--dataset", str(dataset), "--cache", str(cache), *args])
+    assert code == 2
+    assert "op 'history_softmax' produced non-finite values" in capsys.readouterr().err
 
 
 def test_evaluate_with_cache_of_other_item_count_exits_one(pipeline, tmp_path):

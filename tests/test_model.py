@@ -2,18 +2,20 @@
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kgrec import autodiff as ad
 from kgrec.autodiff import finite_difference_check
-from kgrec.evaluation import FastScorer
+from kgrec.evaluation import FastScorer, ItemContextSet
 from kgrec.graph import InputError
 from kgrec.model import (GraphContextModel, ItemContext, ItemInputs, ModelConfig,
                          PairBatch, ScoreContext, init_params)
-from kgrec.sampling import reverse_pad, sample_kg_negatives, substream
-from kgrec.training import TrainConfig, total_objective
+from kgrec.sampling import (WalkConfig, build_walk_cache, reverse_pad, sample_bpr_tuples,
+                            sample_kg_negatives, substream)
+from kgrec.training import TrainConfig, assemble_pair_batch, total_objective
 
 import synth
 
@@ -209,25 +211,44 @@ def test_nonlocal_empty_context_closed_form():
     np.testing.assert_array_equal(got, expected)
 
 
-def _tape_nodes(out):
-    """Op nodes on the tape behind ``out``: every node reached through parent
-    links that records a gradient and is not a parameter."""
-    seen, stack = {}, [out]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node.requires_grad and not node.op.startswith("param:"):
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
-
-
 @pytest.mark.parametrize("steps", [3, 5])
 def test_walk_state_is_one_gather_and_one_gru_node(steps):
     (kg, model, _, _, _), rng = _setup(15)
     walks = [tuple(rng.choice(kg.entity_count, size=n, replace=False)) for n in (steps, 1, 0)]
     items = ItemInputs.build([0, 1, 2], [[(0, 1)]] * 3, *reverse_pad(walks, steps))
-    nodes = _tape_nodes(model._walk_state(items))
+    nodes = synth.tape_nodes(model._walk_state(items))
     assert sorted(n.op for n in nodes) == ["gather_rows", "gru_sequence"]
+
+
+def test_tape_nodes_per_training_batch_and_per_evaluated_user():
+    """At the benchmark's model shape (d=32, S=4, N=16, walk contexts of 4)
+    a training batch records 103 nodes and an evaluated user 26; the history
+    head is one softmax, one context and one score node per target block."""
+    store, kg, item_entities = synth.planted_dataset(seed=4)
+    cfg = ModelConfig(dim=32, local_size=4, history_size=16)
+    cache = build_walk_cache(kg, item_entities, WalkConfig(0.2, 2, 4, 4), seed=4)
+    params = init_params(cfg, store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, substream(4, "init"))
+    model = GraphContextModel(cfg, params, item_entities)
+    tuples = sample_bpr_tuples(store, 1, substream(4, "negatives"))[:16]
+    batch = assemble_pair_batch(tuples, cfg, kg, cache, store, item_entities,
+                                substream(4, "contexts"))
+    y_pos, y_neg = model.scores_batch(batch)
+    loss, _ = total_objective(model, y_pos, y_neg, sample_kg_negatives(kg, substream(4, "kg")),
+                              TrainConfig())
+    ops = Counter(node.op for node in synth.tape_nodes(loss))
+    assert sum(ops.values()) == 103
+    assert [ops[op] for op in ("history_softmax", "history_context", "pair_scores")] == [2, 2, 2]
+
+    inputs = ItemContextSet.build(kg, item_entities, cache, cfg.local_size,
+                                  substream(4, "eval-items"))
+    stage = model.item_stage(inputs)
+    e_h, fused, _ = model.user_stage(stage, [3])
+    scores = model.shared_history_scores(3, e_h, fused, store.positive_list(3, "train"))
+    stage_rows = [t for t in vars(stage).values() if isinstance(t, ad.Tensor)]
+    ops = Counter(node.op for node in synth.tape_nodes(scores, exclude=stage_rows))
+    assert sum(ops.values()) == 26
+    assert [ops[op] for op in ("history_softmax", "history_context", "pair_scores")] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +531,7 @@ def _concat_q(model, items, user_rows, row_items, force=None):
         e_t = ad.gather_rows(p["entity_emb"], items.tails.ravel())
         cells = (np.asarray(row_items)[:, None] * s + np.arange(s)).ravel()
         weighted = ad.mul(ad.reshape(alpha, len(cells), 1), ad.gather_rows(e_t, cells))
-        fused = aggregate(e_rows, ad.sum_row_groups(weighted, s))
+        fused = aggregate(e_rows, synth.sum_row_groups(weighted, s))
     if mode != "local":
         h = synth.gru_run(ad.gather_rows(p["entity_emb"], items.ctx_rev.T.ravel()),
                           items.ctx_mask, model.gru)
@@ -534,12 +555,12 @@ def _concat_head(model, users, q_t, q_hist, n, mask=None):
         h = ad.reshape(ad.matmul(q_hist, synth.stack_rows(p, ["hist_attn_w3", "hist_attn_w4"])),
                        q_hist.shape[0] // n, n)
         a_t = ad.matmul(q_t, synth.stack_rows(p, ["hist_attn_w1", "hist_attn_w2"]))
-        beta = ad.softmax_rows(ad.tanh(ad.add(ad.add(a_t, h), p["hist_attn_b"])))
+        beta = synth.softmax_rows(ad.tanh(ad.add(ad.add(a_t, h), p["hist_attn_b"])))
         if mask is None:
             e_hist = ad.matmul(beta, q_hist)
         else:
             weighted = ad.mul(ad.reshape(beta, t * n, 1), q_hist)
-            e_hist = ad.mul(ad.sum_row_groups(weighted, n), mask)
+            e_hist = ad.mul(synth.sum_row_groups(weighted, n), mask)
     c_u = ad.relu(ad.affine(ad.hstack(e_u, e_hist), synth.concat_weight(p, "user_agg_W"),
                             p["user_agg_b"]))
     return ad.row_sums(ad.mul(ad.hstack(e_u, c_u), q_t))
