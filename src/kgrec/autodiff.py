@@ -9,13 +9,12 @@ raises ``NumericError`` naming the producing op.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import InputError
+from .graph import InputError, read_artifact, write_artifact
 
 
 class NumericError(RuntimeError):
@@ -380,9 +379,13 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _finish(out, (a,), backprop)
 
 
-def _softmax_data(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _column_softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """exp of (n, R) logits normalised down each column, one softmax per
+    column; the caller shifts logits that could overflow exp.  Laid out so,
+    every step runs along rows of R."""
+    e = np.exp(logits, out=out)
+    e /= e.sum(axis=0)
+    return e
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -426,12 +429,14 @@ def neighbor_softmax(feat: Tensor, m: Tensor, row_items, row_users, s: int) -> T
              else _row_index(row_users, m.shape[0], "neighbor_softmax"))
     if items is not None and items.size != users.size:
         raise ShapeError(f"neighbor_softmax: {items.size} items for {users.size} users")
+    # laid out (S, R), as history_softmax's logits are
     with np.errstate(over="ignore", invalid="ignore"):
         if items is None:
-            logits = (feat.data @ m.data[0]).reshape(-1, s)
+            logits = np.ascontiguousarray((feat.data @ m.data[0]).reshape(-1, s).T)
         else:
-            logits = np.einsum("rsd,rd->rs", _neighbor_rows(feat, s, items), m.data[users])
-        out = Tensor(_softmax_data(logits), op="neighbor_softmax")
+            logits = np.einsum("rsd,rd->sr", _neighbor_rows(feat, s, items), m.data[users])
+        logits -= logits.max(axis=0)
+        out = Tensor(_column_softmax(logits, out=logits).T, op="neighbor_softmax")
 
     def backprop():
         d_logits = _softmax_backward(out.grad, out.data)
@@ -496,7 +501,7 @@ def history_softmax(a_t: Tensor, h: Tensor, b: Tensor) -> Tensor:
     t, n = a_t.shape[0], h.shape[1]
     if a_t.shape[1] != 1 or h.shape[0] not in (1, t) or b.shape != (1, 1):
         raise ShapeError(f"history_softmax: a_t {a_t.shape}, h {h.shape}, b {b.shape}")
-    # laid out (n, T), so that every step runs along rows of T
+    # laid out (n, T) for _column_softmax
     act = np.empty((n, t))
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(h.data.T, a_t.data.T, out=act)
@@ -506,9 +511,7 @@ def history_softmax(a_t: Tensor, h: Tensor, b: Tensor) -> Tensor:
         raise NumericError("op 'history_softmax' produced non-finite values")
     np.tanh(act, out=act)
     # tanh bounds the logits to [-1, 1], so exp needs no shift by their maximum
-    beta = np.exp(act)
-    beta /= beta.sum(axis=0)
-    out = Tensor(beta.T, op="history_softmax")
+    out = Tensor(_column_softmax(act).T, op="history_softmax")
 
     def backprop():
         g = _softmax_backward(out.grad, out.data)
@@ -866,75 +869,44 @@ class CheckpointError(InputError):
 
 
 _CKPT_MAGIC = b"KGCK"
-_CKPT_VERSION = 2
-# after the magic: the version, the model config, the table sizes and the
-# tensor count, little-endian, flags one byte each
-_CKPT_HEADER = "<IIII???IIII"
-_CKPT_FIELDS = ("dim", "local_size", "history_size", "disable_local", "disable_nonlocal",
-                "disable_user_attention", "n_users", "n_entities", "n_relations", "n_params")
+_CKPT_VERSION = 3
+# the model config and the table sizes; the tensors are the file's arrays
+_CKPT_FIELDS = {"dim": int, "local_size": int, "history_size": int, "disable_local": bool,
+                "disable_nonlocal": bool, "disable_user_attention": bool,
+                "n_users": int, "n_entities": int, "n_relations": int}
 
 
 def save_checkpoint(path, registry: ParamRegistry, meta: dict) -> None:
-    """Write all registered tensors after a fixed-layout header; ``meta``
-    holds every header field but ``n_params``."""
-    entries = list(registry.items())
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack(_CKPT_HEADER, _CKPT_VERSION,
-                             *(meta[f] for f in _CKPT_FIELDS[:-1]), len(entries)))
-        for name, t in entries:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<II", t.shape[0], t.shape[1]))
-            fh.write(t.data.astype("<f8").tobytes())
+    """Write every registered tensor under ``meta``, which holds each
+    ``read_checkpoint_meta`` field but ``n_params``."""
+    write_artifact(path, _CKPT_MAGIC, _CKPT_VERSION,
+                   {name: kind(meta[name]) for name, kind in _CKPT_FIELDS.items()},
+                   {name: t.data for name, t in registry.items()})
+
+
+def _read_checkpoint(path) -> tuple[dict, dict]:
+    meta, arrays = read_artifact(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
+                                 CheckpointError, _CKPT_FIELDS)
+    return {**meta, "n_params": len(arrays)}, arrays
 
 
 def read_checkpoint_meta(path) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        header = fh.read(struct.calcsize(_CKPT_HEADER))
-    # the version comes first, so a file of another version is named as such
-    version = int.from_bytes(header[:4], "little")
-    if len(header) >= 4 and version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    if len(header) != struct.calcsize(_CKPT_HEADER):
-        raise CheckpointError(f"{path}: checkpoint is truncated")
-    return dict(zip(_CKPT_FIELDS, struct.unpack(_CKPT_HEADER, header)[1:]))
+    return _read_checkpoint(path)[0]
 
 
 def load_checkpoint(path, registry: ParamRegistry) -> dict:
     """Load saved tensors into an already-shaped registry; validates shapes."""
-    meta = read_checkpoint_meta(path)
-    loaded: set[str] = set()
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(4 + struct.calcsize(_CKPT_HEADER))
-            for _ in range(meta["n_params"]):
-                (name_len,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(name_len).decode("utf-8")
-                rows, cols = struct.unpack("<II", fh.read(8))
-                raw = fh.read(rows * cols * 8)
-                if len(raw) != rows * cols * 8:
-                    raise CheckpointError(f"{path}: checkpoint is truncated")
-                if name not in registry:
-                    raise CheckpointError(f"{path}: unknown parameter {name!r}")
-                p = registry[name]
-                if p.shape != (rows, cols):
-                    raise CheckpointError(
-                        f"{path}: parameter {name!r} has shape ({rows}, {cols}), "
-                        f"expected {p.shape}")
-                values = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-                if not np.isfinite(values).all():
-                    raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
-                p.data[...] = values
-                loaded.add(name)
-    except struct.error:
-        raise CheckpointError(f"{path}: checkpoint is truncated") from None
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
-    missing = set(registry.names()) - loaded
+    meta, arrays = _read_checkpoint(path)
+    for name, values in arrays.items():
+        if name not in registry:
+            raise CheckpointError(f"{path}: unknown parameter {name!r}")
+        if (values.dtype.str, values.shape) != ("<f8", registry[name].shape):
+            raise CheckpointError(f"{path}: parameter {name!r} has shape {values.shape} of "
+                                  f"{values.dtype.str}, expected {registry[name].shape} of <f8")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
+        registry[name].data[...] = values
+    missing = set(registry.names()) - set(arrays)
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
     return meta

@@ -42,10 +42,6 @@ def _echo_config(cfg: RunConfig, out_dir: str) -> None:
     save_config(cfg, os.path.join(out_dir, "config.ini"))
 
 
-def _load_dataset(args):
-    return graph.load_dataset(args.dataset)
-
-
 def _registry_for(cfg: RunConfig, store, kg):
     # shape-only init; a checkpoint load overwrites every value
     return init_params(cfg.model_config(), store.user_count, kg.entity_count,
@@ -68,21 +64,15 @@ def cmd_preprocess(args) -> int:
     graph.save_dataset(args.out, store, kg, item_entities, id_maps)
     _echo_config(cfg, args.out)
     stats = graph.dataset_stats(store, kg)
-    print(f"users\t{stats['users']}")
-    print(f"items\t{stats['items']}")
-    print(f"interactions\t{stats['interactions']}")
-    print(f"density\t{stats['density'] * 100:.3f}%")
-    print(f"entities\t{stats['entities']}")
-    print(f"relations\t{stats['relations']}")
-    print(f"triples\t{stats['triples']}")
-    for split in graph.SPLITS:
-        print(f"{split}\t{stats[split]}")
+    stats["density"] = f"{stats['density'] * 100:.3f}%"
+    for key, value in stats.items():  # users .. triples, then the splits
+        print(f"{key}\t{value}")
     return 0
 
 
 def cmd_build_cache(args) -> int:
     cfg = _config_from(args)
-    store, kg, item_entities, _ = _load_dataset(args)
+    store, kg, item_entities, _ = graph.load_dataset(args.dataset)
     cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed)
     cache.save(args.out)
     save_config(cfg, os.path.abspath(args.out) + ".config.ini")
@@ -92,7 +82,7 @@ def cmd_build_cache(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args)
-    store, kg, item_entities, _ = _load_dataset(args)
+    store, kg, item_entities, _ = graph.load_dataset(args.dataset)
     cache = WalkCache.load(args.cache)
     params, report = train(store, kg, item_entities, cache, cfg.model_config(),
                            cfg.train_config(), eval_cfg=cfg.eval_config(),
@@ -112,11 +102,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     meta = read_checkpoint_meta(args.checkpoint)
+    # the run's config is valid, so a stored one that ModelConfig refuses differs from it
     for name, value in dataclasses.asdict(cfg.model_config()).items():
         if meta[name] != value:
             raise CheckpointError(f"{args.checkpoint}: trained with {name}={meta[name]!r}, "
                                   f"this run has {name}={value!r}")
-    store, kg, item_entities, _ = _load_dataset(args)
+    store, kg, item_entities, _ = graph.load_dataset(args.dataset)
     cache = WalkCache.load(args.cache)
     params = _registry_for(cfg, store, kg)
     load_checkpoint(args.checkpoint, params)
@@ -143,15 +134,13 @@ _ABLATION_VARIANTS = (
 
 def cmd_ablate(args) -> int:
     cfg = _config_from(args)
-    store, kg, item_entities, _ = _load_dataset(args)
+    store, kg, item_entities, _ = graph.load_dataset(args.dataset)
     cache = WalkCache.load(args.cache)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name, flags in _ABLATION_VARIANTS:
-        variant = _config_from(args)
-        variant.K = tuple(sorted(set(variant.K) | {20}))  # table reports HR@20
-        for key, value in flags.items():
-            setattr(variant, key, value)
+        # the table reports HR@20
+        variant = dataclasses.replace(cfg, K=tuple(sorted(set(cfg.K) | {20})), **flags)
         params, _ = train(store, kg, item_entities, cache, variant.model_config(),
                           variant.train_config(), eval_cfg=variant.eval_config())
         report = evaluate(params, variant.model_config(), store, kg, item_entities,
@@ -173,7 +162,7 @@ def cmd_sweep(args) -> int:
     base = _config_from(args)
     if args.param not in _SWEEPABLE:
         raise InputError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
-    store, kg, item_entities, _ = _load_dataset(args)
+    store, kg, item_entities, _ = graph.load_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     is_float = args.param in ("gamma", "eta", "lambda1", "lambda2")
     try:
@@ -182,8 +171,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"cannot parse --values {args.values!r} for {args.param}")
     lines = ["value\tK\tmetric\tscore"]
     for value in values:
-        cfg = _config_from(args)
-        setattr(cfg, args.param, value)
+        cfg = dataclasses.replace(base, **{args.param: value})
         # walk parameters change the cache; rebuild when needed
         if args.param in ("gamma", "M", "L", "S") or args.cache is None:
             cache = build_walk_cache(kg, item_entities, cfg.walk_config(), cfg.seed)

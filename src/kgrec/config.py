@@ -153,6 +153,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
         setattr(cfg, key, _parse_value(key, raw))
     if cfg.seed < 0:
         raise InputError("seed must be non-negative")
+    # every section's range checks run here, so no command echoes a bad value
+    cfg.model_config(), cfg.walk_config(), cfg.train_config(), cfg.eval_config()
     return cfg
 
 

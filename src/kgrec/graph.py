@@ -9,6 +9,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import warnings
@@ -197,16 +198,6 @@ class KnowledgeGraph:
     def relation_embedding_count(self) -> int:
         return self.relation_count + 1
 
-    def neighbors_of(self, entity: int) -> np.ndarray:
-        """The distinct neighbor entities of ``entity``, ascending."""
-        return self.neighbor_entities[self.neighbor_offsets[entity]:
-                                      self.neighbor_offsets[entity + 1]]
-
-    def is_neighbor(self, entity: int, other: int) -> bool:
-        row = self.neighbors_of(entity)
-        at = np.searchsorted(row, other)
-        return bool(at < row.size and row[at] == other)
-
 
 class InteractionStore:
     """Per-user positive items partitioned into train/valid/test."""
@@ -279,6 +270,70 @@ def _read_text(path) -> str:
         raise InputError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# binary artifacts: walk caches and checkpoints
+# ---------------------------------------------------------------------------
+
+
+def write_artifact(path, magic: bytes, version: int, meta: dict, arrays: dict) -> None:
+    """``magic``, a little-endian u32 ``version`` and u32 header length, a
+    UTF-8 JSON header of ``meta`` and every array's name, dtype and shape
+    (sorted keys, compact, so equal contents give equal bytes), then the
+    arrays' little-endian bytes in that order."""
+    arrays = {name: np.asarray(a, a.dtype.newbyteorder("<")) for name, a in arrays.items()}
+    header = json.dumps({"meta": meta, "arrays": [[name, a.dtype.str, list(a.shape)]
+                                                  for name, a in arrays.items()]},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + np.array([version, len(header)], dtype="<u4").tobytes() + header)
+        fh.writelines(a.tobytes() for a in arrays.values())
+
+
+def read_artifact(path, magic: bytes, version: int, what: str, error,
+                  fields: dict) -> tuple[dict, dict]:
+    """(meta, {name: read-only array}) of a ``write_artifact`` file of this
+    magic and version, whose arrays are float64 or uint32 of rank <= 2 with
+    unique names and fill it exactly.  ``meta`` holds the entries that
+    ``fields`` names (name -> bool, int or float), in its order: an int must
+    be >= 0, a float may be an int, no bool is a number.  Anything else read
+    raises ``error``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != magic:
+        raise error(f"{path}: not a {what} file")
+    found = int.from_bytes(data[4:8], "little")
+    if len(data) >= 8 and found != version:
+        raise error(f"{path}: unsupported {what} version {found}")
+    at = 12 + int.from_bytes(data[8:12], "little")
+    if len(data) < at:
+        raise error(f"{path}: {what} is truncated")
+    try:
+        header = json.loads(data[12:at].decode("utf-8"))
+        meta, entries = header["meta"], [tuple(entry) for entry in header["arrays"]]
+        if (set(header) != {"meta", "arrays"} or not isinstance(meta, dict)
+                or len({name for name, _, _ in entries}) != len(entries) or not all(
+                    isinstance(name, str) and dtype in ("<f8", "<u4") and len(shape) <= 2
+                    and all(type(n) is int and n >= 0 for n in shape)
+                    for name, dtype, shape in entries)):
+            raise ValueError
+    # json.loads raises RecursionError on a deeply nested header
+    except (ValueError, TypeError, KeyError, RecursionError):
+        raise error(f"{path}: {what} header is corrupt") from None
+    for name, kind in fields.items():
+        value = meta.get(name)
+        if type(value) not in ((int, float) if kind is float else (kind,)) or (
+                kind is int and value < 0):
+            raise error(f"{path}: {what} field {name!r} is {value!r}, "
+                        f"expected {'an int >= 0' if kind is int else kind.__name__}")
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in entries]
+    if at + sum(sizes) != len(data):
+        raise error(f"{path}: {what} is truncated" if at + sum(sizes) > len(data)
+                    else f"{path}: {what} has bytes past its arrays")
+    return {name: meta[name] for name in fields}, {
+        name: np.frombuffer(data, dtype, math.prod(shape), start).reshape(shape)
+        for (name, dtype, shape), start in zip(entries, itertools.accumulate(sizes, initial=at))}
 
 
 def _read_tsv(path, n_fields: int):

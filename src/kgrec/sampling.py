@@ -10,7 +10,6 @@ independently reproducible.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import InputError, InteractionStore, KnowledgeGraph
+from .graph import InputError, InteractionStore, KnowledgeGraph, read_artifact, write_artifact
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -152,8 +151,11 @@ def rank_visits(paths, roots, size: int) -> list:
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = b"KGWC"
-_CACHE_VERSION = 1
-_CACHE_HEADER = "<IIIQdII"
+_CACHE_VERSION = 2
+_CACHE_FIELDS = {"context_size": int, "seed": int, "gamma": float, "num_walks": int,
+                 "walk_length": int}
+# one entry per item in ``lengths``, the contexts one after another in ``ids``
+_CACHE_ARRAYS = [("lengths", "<u4", 1), ("ids", "<u4", 1)]
 
 
 def reverse_pad(contexts, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +199,15 @@ class WalkCache:
 
     def check_fits(self, item_count: int, entity_count: int) -> None:
         """Raise ``InputError`` unless the cache covers ``item_count`` items
-        whose contexts name only entities below ``entity_count``."""
+        whose contexts name only entities below ``entity_count``, at a context
+        size no larger than ``entity_count``."""
         if self.item_count != item_count:
             raise InputError(f"walk cache covers {self.item_count} items, "
                              f"dataset has {item_count}")
+        # checked before ``padded_contexts`` sizes an (items, context_size) table
+        if self.context_size > entity_count:
+            raise InputError(f"walk cache context size {self.context_size} exceeds the "
+                             f"dataset's {entity_count} entities")
         top = self.padded_contexts[0].max(axis=1, initial=0)
         if (top >= entity_count).any():
             item = int(np.argmax(top >= entity_count))
@@ -208,54 +215,30 @@ class WalkCache:
                              f"dataset has {entity_count} entities")
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack(_CACHE_HEADER, _CACHE_VERSION, self.item_count,
-                                 self.context_size, self.seed, self.gamma,
-                                 self.num_walks, self.walk_length))
-            for item, ctx in enumerate(self.contexts):
-                fh.write(struct.pack("<II", item, len(ctx)))
-                fh.write(np.asarray(ctx, dtype="<u4").tobytes())
+        write_artifact(path, _CACHE_MAGIC, _CACHE_VERSION,
+                       {name: kind(getattr(self, name)) for name, kind in _CACHE_FIELDS.items()},
+                       {"lengths": np.array([len(ctx) for ctx in self.contexts], dtype="<u4"),
+                        "ids": np.concatenate([np.zeros(0, dtype="<u4"), *self.contexts],
+                                              dtype="<u4", casting="unsafe")})
 
     @classmethod
     def load(cls, path) -> "WalkCache":
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if data[:4] != _CACHE_MAGIC:
-            raise InputError(f"{path}: not a walk cache file")
-        body = 4 + struct.calcsize(_CACHE_HEADER)
+        meta, arrays = read_artifact(path, _CACHE_MAGIC, _CACHE_VERSION, "walk cache",
+                                     InputError, _CACHE_FIELDS)
+        seed = meta.pop("seed")
         try:
-            version, item_count, context_size, seed, gamma, num_walks, \
-                walk_length = struct.unpack(_CACHE_HEADER, data[4:body])
-        except struct.error as exc:
-            raise InputError(f"{path}: cache file is corrupt: {exc}") from None
-        if version != _CACHE_VERSION:
-            raise InputError(f"{path}: unsupported cache version {version}")
-        # the body is item_count (item, length) records of little-endian u32
-        # words, each followed by its context; bytes past the last record are
-        # not read, and a count the body cannot hold sizes no list
-        words = np.frombuffer(data, dtype="<u4", count=(len(data) - body) // 4, offset=body)
-        listed = words.tolist()
-        end = len(listed)
-        if 2 * item_count > end:
-            raise InputError(f"{path}: cache file is corrupt")
-        starts = [None] * item_count
-        at = 0
-        for _ in range(item_count):
-            if at + 2 > end:
-                raise InputError(f"{path}: cache file is corrupt")
-            item, length = listed[at], listed[at + 1]
-            at += 2
-            if item >= item_count or at + length > end:
-                raise InputError(f"{path}: cache file is corrupt")
-            starts[item] = at
-            at += length
-        if None in starts:
-            raise InputError(f"{path}: cache is missing items")
-        # the word before each context is its length
-        flat = words.astype(np.int64)
-        contexts = [flat[a:a + listed[a - 1]] for a in starts]
-        return cls(contexts, context_size, seed, gamma, num_walks, walk_length)
+            cfg = WalkConfig(**meta)
+        except InputError as exc:
+            raise InputError(f"{path}: walk cache {exc}") from None
+        if [(name, a.dtype.str, a.ndim) for name, a in arrays.items()] != _CACHE_ARRAYS:
+            raise InputError(f"{path}: walk cache arrays are not {_CACHE_ARRAYS}")
+        lengths = arrays["lengths"].astype(np.int64)
+        if lengths.sum() != arrays["ids"].size or lengths.max(initial=0) > cfg.context_size:
+            raise InputError(f"{path}: walk cache lengths do not sum to its id count, or one "
+                             f"exceeds its context size {cfg.context_size}")
+        ids, ends = arrays["ids"].astype(np.int64), np.cumsum(lengths).tolist()
+        return cls([ids[a:b] for a, b in zip([0, *ends], ends)], cfg.context_size,
+                   seed, cfg.gamma, cfg.num_walks, cfg.walk_length)
 
 
 def build_walk_cache(kg: KnowledgeGraph, item_entities, cfg: WalkConfig,

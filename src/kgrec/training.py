@@ -203,7 +203,6 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
     has_validation = store.users_in("valid").size > 0
     best_snapshot = None
     best_hr = -1.0
-    best_at_epoch = 0
     batches_done = 0
     stop = False
     kg_quads = np.zeros((0, 4), dtype=np.int64)
@@ -259,7 +258,6 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
                 best_hr = hr20
                 best_snapshot = params.snapshot()
                 report.best_epoch = epoch
-                best_at_epoch = epoch
 
         record = EpochRecord(
             epoch=epoch,
@@ -277,7 +275,7 @@ def train(store: InteractionStore, kg: KnowledgeGraph, item_entities,
         # patience is measured in epochs, counted from the first evaluation;
         # it should be at least eval_every or the run stops between evals
         if stop or (best_snapshot is not None
-                    and epoch - best_at_epoch > train_cfg.patience):
+                    and epoch - report.best_epoch > train_cfg.patience):
             break
 
     if best_snapshot is not None:

@@ -1,5 +1,8 @@
 """Shared synthetic fixtures for the test suite."""
 
+import json
+import struct
+
 import numpy as np
 
 from kgrec import autodiff as ad
@@ -9,12 +12,38 @@ from kgrec.graph import InteractionStore, KnowledgeGraph, Triple
 def softmax_rows(a):
     """Row-wise softmax as one node, shifted by each row's maximum: the
     reference that the fused softmax ops are checked against."""
-    out = ad.Tensor(ad._softmax_data(a.data), op="softmax_rows")
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    out = ad.Tensor(e / e.sum(axis=1, keepdims=True), op="softmax_rows")
 
     def backprop():
         ad._accum(a, ad._softmax_backward(out.grad, out.data), owned=True)
 
     return ad._finish(out, (a,), backprop)
+
+
+def raw_artifact(magic, version, header, payload=b""):
+    """The bytes of an artifact file with a hand-made header (a JSON-encoded
+    object, or raw bytes) and payload."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    return magic + struct.pack("<II", version, len(header)) + header + payload
+
+
+def corrupt_bytes(data, offset, value, truncate):
+    """``data`` cut at ``offset``, or with the byte there set to ``value``."""
+    return data[:offset] if truncate else data[:offset] + bytes([value]) + data[offset + 1:]
+
+
+def neighbors_of(kg, entity):
+    """The distinct neighbor entities of ``entity``, ascending, read from the
+    graph's CSR arrays."""
+    return kg.neighbor_entities[kg.neighbor_offsets[entity]:kg.neighbor_offsets[entity + 1]]
+
+
+def is_neighbor(kg, entity, other):
+    row = neighbors_of(kg, entity)
+    at = np.searchsorted(row, other)
+    return bool(at < row.size and row[at] == other)
 
 
 def sum_row_groups(a, k):

@@ -11,6 +11,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrec import autodiff as ad
 from kgrec.autodiff import (AdamState, CheckpointError, GruParams, NumericError,
@@ -738,3 +740,59 @@ def test_version_one_checkpoint_is_rejected_by_version(tmp_path):
     path.write_bytes(b"KGCK" + struct.pack("<IIIIII", 1, 4, 2, 3, 5, 0))
     with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(path, ParamRegistry())
+
+
+def test_version_two_checkpoint_is_rejected_by_version(tmp_path):
+    """Version 2 packed the model config and sizes into a struct header."""
+    path = tmp_path / "v2.bin"
+    path.write_bytes(b"KGCK" + struct.pack("<I", 2)
+                     + struct.pack("<III???IIII", 1, 4, 16, False, False, False, 1, 1, 1, 0))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2$"):
+        read_checkpoint_meta(path)
+
+
+def test_checkpoint_header_values_are_checked(tmp_path):
+    reg = _registry_with(np.random.default_rng(37), {"a": (2, 3)})
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, reg, _meta())
+    meta = read_checkpoint_meta(path)
+    assert list(meta) == ["dim", "local_size", "history_size", "disable_local",
+                          "disable_nonlocal", "disable_user_attention", "n_users",
+                          "n_entities", "n_relations", "n_params"]
+    stored = {key: value for key, value in meta.items() if key != "n_params"}
+    a = reg["a"].data.tobytes()
+    cases = [
+        ("field 'n_users' is -1, expected an int >= 0", {"n_users": -1}, "<f8", a),
+        ("field 'dim' is 2.5", {"dim": 2.5}, "<f8", a),
+        ("field 'disable_local' is 0, expected bool", {"disable_local": 0}, "<f8", a),
+        ("field 'n_relations' is None", {"n_relations": None}, "<f8", a),
+        (r"parameter 'a' has shape \(2, 3\) of <u4, expected \(2, 3\) of <f8", {}, "<u4", a[:24]),
+    ]
+    for message, change, dtype, payload in cases:
+        path.write_bytes(synth.raw_artifact(b"KGCK", 3, {"meta": {**stored, **change},
+                                                         "arrays": [["a", dtype, [2, 3]]]},
+                                            payload))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path, reg)
+
+
+def test_corrupt_checkpoint_bytes_load_or_raise_checkpoint_error(tmp_path):
+    """One byte overwritten at any offset, or the file cut there: loading
+    succeeds or raises CheckpointError, and nothing else."""
+    reg = _registry_with(np.random.default_rng(39), {"a": (2, 3), "bias": (1, 2)})
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, reg, _meta(dim=2))
+    data = path.read_bytes()
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(st.integers(0, len(data) - 1), st.integers(0, 255), st.booleans())
+    def check(offset, value, truncate):
+        path.write_bytes(synth.corrupt_bytes(data, offset, value, truncate))
+        try:
+            read_checkpoint_meta(path)
+            load_checkpoint(path, reg)
+        except CheckpointError:
+            return
+        assert all(np.isfinite(t.data).all() for _, t in reg.items())
+
+    check()

@@ -234,23 +234,43 @@ def test_train_setting_out_of_range_exits_one(pipeline, capsys, setting):
 
 def test_corrupt_checkpoint_exits_one(pipeline):
     tmp_path, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
     bad = tmp_path / "bad.bin"
-    # a version-2 header of the default model config, then a cut-off tensor
-    bad.write_bytes(b"KGCK" + struct.pack("<I", 2)
-                    + struct.pack("<III???IIII", 32, 4, 16, False, False, False, 1, 1, 1, 1)
-                    + b"\x99")
+    # a version-3 header of the default model config, then a cut-off tensor
+    bad.write_bytes(synth.raw_artifact(b"KGCK", 3, {"meta": _checkpoint_meta(store, kg),
+                                                    "arrays": [["user_emb", "<f8", [1, 1]]]},
+                                       b"\x99"))
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(bad), "--split", "test"])
     assert code == 1
 
 
-def test_truncated_checkpoint_header_exits_one(pipeline):
+def test_truncated_checkpoint_header_exits_one(pipeline, capsys):
     tmp_path, dataset, cache = pipeline
     bad = tmp_path / "short.bin"
-    bad.write_bytes(b"KGCK" + struct.pack("<III", 2, 32, 4))
+    bad.write_bytes(b"KGCK" + struct.pack("<II", 3, 200) + b'{"meta":{"dim":32')
+    capsys.readouterr()
     code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
                  "--checkpoint", str(bad), "--split", "test"])
     assert code == 1
+    assert "checkpoint is truncated" in capsys.readouterr().err
+
+
+def test_checkpoint_of_an_invalid_model_config_exits_one(pipeline, capsys):
+    tmp_path, dataset, cache = pipeline
+    store, kg, _, _ = load_dataset(dataset)
+    params = init_params(ModelConfig(), store.user_count, kg.entity_count,
+                         kg.relation_embedding_count, np.random.default_rng(0))
+    ckpt = tmp_path / "both.bin"
+    save_checkpoint(ckpt, params, {**_checkpoint_meta(store, kg), "disable_local": True,
+                                   "disable_nonlocal": True})
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(dataset), "--cache", str(cache),
+                 "--checkpoint", str(ckpt), "--split", "test"])
+    # no valid run config equals one that ModelConfig refuses
+    assert code == 1
+    assert "trained with disable_local=True, this run has disable_local=False" in \
+        capsys.readouterr().err
 
 
 def test_version_one_checkpoint_exits_one(pipeline, capsys):
@@ -440,6 +460,35 @@ def test_cache_path_that_is_a_directory_exits_one(pipeline, tmp_path, capsys):
                  "--checkpoint", str(ckpt), "--split", "test"])
     assert code == 1
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cache_of_context_size_zero_exits_one(pipeline, tmp_path, capsys):
+    _, dataset, cache = pipeline
+    walks = WalkCache.load(cache)
+    zero = tmp_path / "zero.bin"
+    dataclasses.replace(walks, contexts=[c[:0] for c in walks.contexts], context_size=0).save(zero)
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(dataset), "--cache", str(zero),
+                 "--out", str(tmp_path / "x")] + FAST_TRAIN)
+    assert code == 1
+    assert "context_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+def test_out_of_range_walk_settings_exit_one_before_any_output(pipeline, capsys, command):
+    """Every config section is checked at load, not only the ones a command uses."""
+    tmp_path, dataset, cache = pipeline
+    out = tmp_path / "out"
+    args = {"train": ["--out", str(out)], "ablate": ["--out", str(out)],
+            "evaluate": ["--checkpoint", str(tmp_path / "none.bin"),
+                         "--out", str(out / "eval.tsv")]}[command]
+    capsys.readouterr()
+    code = main([command, "--dataset", str(dataset), "--cache", str(cache), *args,
+                 "--set", "gamma=0.9", "--set", "M=0", "--set", "L=-4"])
+    assert code == 1
+    assert "gamma must be in (0, 0.5), got 0.9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_truncated_cache_exits_one(pipeline, tmp_path):

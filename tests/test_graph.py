@@ -1,6 +1,7 @@
 """Ingestion, indexing and splitting tests for the data model."""
 
 import os
+import struct
 import tracemalloc
 import warnings
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrec.graph import (IdMaps, InputError, InteractionStore, KnowledgeGraph,
-                         Triple, dataset_stats, load_dataset, load_interactions,
-                         load_kg, save_dataset, split_counts, split_interactions)
+                         Triple, dataset_stats, load_dataset,
+                         load_interactions, load_kg, read_artifact, save_dataset,
+                         split_counts, split_interactions, write_artifact)
 
 import synth
 
@@ -216,9 +218,9 @@ def test_local_context_star_center():
 def test_bidirectional_closure(raw_triples):
     kg = KnowledgeGraph(8, 3, [Triple(*t) for t in raw_triples])
     for h in range(8):
-        for t in kg.neighbors_of(h):
-            assert kg.is_neighbor(int(t), h)
-            assert kg.is_neighbor(h, int(t))
+        for t in synth.neighbors_of(kg, h):
+            assert synth.is_neighbor(kg, int(t), h)
+            assert synth.is_neighbor(kg, h, int(t))
 
 
 @settings(max_examples=50, deadline=None)
@@ -238,7 +240,7 @@ def test_is_neighbor_matches_brute_force(raw_triples):
     linked = {(h, t) for h, _, t in raw_triples} | {(t, h) for h, _, t in raw_triples}
     for a in range(8):
         for b in range(8):
-            assert kg.is_neighbor(a, b) == ((a, b) in linked)
+            assert synth.is_neighbor(kg, a, b) == ((a, b) in linked)
 
 
 def _lexsort_tables(entity_count, relation_count, triples):
@@ -490,3 +492,83 @@ def test_positives_match_brute_force_on_every_split():
         users = store.users_in(split)
         assert users.dtype == np.int64
         assert users.tolist() == sorted({u for u, _ in store.pairs(split)})
+
+
+# ---------------------------------------------------------------------------
+# binary artifact container
+# ---------------------------------------------------------------------------
+
+class _FileError(InputError):
+    pass
+
+
+def test_artifact_round_trip_is_exact_and_deterministic(tmp_path):
+    rng = np.random.default_rng(3)
+    arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4)),
+              "ids": np.array([7, 0, 2**32 - 1], dtype="<u4"), "none": np.zeros((0, 5)),
+              "scalar": np.array(2.5)}
+    meta = {"z": 1, "a": 0.1, "flag": True, "name": "x"}
+    path, again = tmp_path / "a.bin", tmp_path / "b.bin"
+    write_artifact(path, b"TEST", 4, meta, arrays)
+    got_meta, got = read_artifact(path, b"TEST", 4, "test", _FileError,
+                                  {"z": int, "a": float, "flag": bool})
+    assert got_meta == {"z": 1, "a": 0.1, "flag": True} and list(got) == list(arrays)
+    for name, a in arrays.items():
+        assert got[name].dtype == a.dtype and got[name].shape == a.shape
+        np.testing.assert_array_equal(got[name], a)
+    # key order does not reach the bytes
+    write_artifact(again, b"TEST", 4, dict(reversed(meta.items())), arrays)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_artifact_reader_refuses_every_fault_with_the_callers_error(tmp_path):
+    path = tmp_path / "a.bin"
+    write_artifact(path, b"TEST", 4, {"k": 1}, {"a": np.ones((2, 2))})
+    data = path.read_bytes()
+
+    def header(arrays, payload=b"", meta=None):
+        return synth.raw_artifact(b"TEST", 4, {"meta": meta or {}, "arrays": arrays}, payload)
+
+    cases = [
+        ("not a test file", b"NOPE" + data[4:]),
+        ("unsupported test version 5", b"TEST" + struct.pack("<I", 5) + data[8:]),
+        # a version is named before anything after it is read
+        ("unsupported test version 5", b"TEST" + struct.pack("<I", 5)),
+        ("test is truncated", data[:10]),
+        ("test is truncated", data[:-1]),
+        ("test has bytes past its arrays", data + b"\0"),
+        ("header is corrupt", header([["a", "<f4", [1]]], b"\0" * 4)),
+        ("header is corrupt", header([["a", "<f8", [1, 1, 1]]], b"\0" * 8)),
+        ("header is corrupt", header([["a", "<f8", [-1]]])),
+        ("header is corrupt", header([["a", "<f8", [1.0]]], b"\0" * 8)),
+        ("header is corrupt", header([["a", "<f8", [1]], ["a", "<f8", [1]]], b"\0" * 16)),
+        ("header is corrupt", header([[1, "<f8", [1]]], b"\0" * 8)),
+        ("header is corrupt", header([["a", "<f8"]], b"\0" * 8)),
+        ("header is corrupt", header({"a": 1})),
+        ("header is corrupt", header([], meta=[1])),
+        ("header is corrupt", synth.raw_artifact(b"TEST", 4, {"meta": {}, "arrays": [],
+                                                              "extra": 0})),
+        ("header is corrupt", synth.raw_artifact(b"TEST", 4, b'{"meta": {}')),
+        ("header is corrupt", synth.raw_artifact(b"TEST", 4, b"[" * 100_000)),
+    ]
+    for message, body in cases:
+        path.write_bytes(body)
+        with pytest.raises(_FileError, match=message):
+            read_artifact(path, b"TEST", 4, "test", _FileError, {})
+
+
+def test_artifact_meta_fields_are_checked_by_kind_and_range(tmp_path):
+    path = tmp_path / "a.bin"
+    fields = {"n": int, "x": float, "on": bool}
+    write_artifact(path, b"TEST", 4, {"on": False, "x": 1, "n": 0, "more": "ok"}, {})
+    assert read_artifact(path, b"TEST", 4, "test", _FileError, fields)[0] == {
+        "n": 0, "x": 1, "on": False}
+    for meta, message in [({"x": 0.5, "on": True}, "field 'n' is None, expected an int >= 0"),
+                          ({"n": -1, "x": 0.5, "on": True}, "field 'n' is -1"),
+                          ({"n": True, "x": 0.5, "on": True}, "field 'n' is True"),
+                          ({"n": 1, "x": False, "on": True}, "field 'x' is False, expected float"),
+                          ({"n": 1, "x": "1", "on": True}, "field 'x' is '1', expected float"),
+                          ({"n": 1, "x": 0.5, "on": 1}, "field 'on' is 1, expected bool")]:
+        write_artifact(path, b"TEST", 4, meta, {})
+        with pytest.raises(_FileError, match=message):
+            read_artifact(path, b"TEST", 4, "test", _FileError, fields)

@@ -6,11 +6,15 @@ against a brute-force visit counter on recorded walks.
 """
 
 import collections
+import dataclasses
+import functools
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrec.graph import InputError, InteractionStore, KnowledgeGraph, Triple
 from kgrec.sampling import (WalkCache, WalkConfig, biased_steps, build_walk_cache,
@@ -192,12 +196,12 @@ def test_transition_frequencies_match_normalized_weights():
 def _walk_step_isin(kg, prev, cur, gamma):
     """Candidates of one transition and their probabilities, with ``np.isin``
     membership, as the per-walker step first computed them."""
-    candidates = kg.neighbors_of(cur)
+    candidates = synth.neighbors_of(kg, cur)
     if candidates.size == 0:
         return np.array([cur]), np.ones(1)
     if prev is None:
         return candidates, np.full(candidates.size, 1.0 / candidates.size)
-    near_prev = np.isin(candidates, kg.neighbors_of(prev)) | (candidates == prev)
+    near_prev = np.isin(candidates, synth.neighbors_of(kg, prev)) | (candidates == prev)
     weights = np.where(near_prev, gamma, 1.0 - gamma)
     return candidates, weights / weights.sum()
 
@@ -224,9 +228,9 @@ def test_walk_step_matches_the_isin_reference():
                 assert counts.sum() == n, (p_prev, cur, steps[j])
                 stat += float(((counts - n * p) ** 2 / (n * p)).sum())
                 dof += candidates.size - 1
-                seen["isolated"] += kg.neighbors_of(cur).size == 0
+                seen["isolated"] += synth.neighbors_of(kg, cur).size == 0
                 seen["far"] += p_prev is not None and p_prev != cur \
-                    and not kg.is_neighbor(p_prev, cur)
+                    and not synth.is_neighbor(kg, p_prev, cur)
     assert stat <= _chi2_upper(dof), (stat, dof)
     assert seen["isolated"] and seen["far"], seen
 
@@ -254,7 +258,7 @@ def test_walk_paths_shapes_and_adjacency():
         for path in walks:
             prev = root
             for step in path:
-                assert kg.is_neighbor(prev, step) or step == prev
+                assert synth.is_neighbor(kg, prev, step) or step == prev
                 prev = step
 
 
@@ -367,10 +371,15 @@ def test_cache_file_round_trip(tmp_path):
     path = tmp_path / "cache.bin"
     cache.save(path)
     loaded = WalkCache.load(path)
-    assert loaded.context_size == 2 and loaded.seed == 17
-    assert loaded.gamma == pytest.approx(0.3)
+    assert (loaded.item_count, loaded.context_size, loaded.seed, loaded.gamma,
+            loaded.num_walks, loaded.walk_length) == (4, 2, 17, 0.3, 3, 4)
     for i in range(4):
         np.testing.assert_array_equal(loaded.context(i), cache.context(i))
+        assert loaded.context(i).dtype == np.int64
+    # the same cache writes the same bytes
+    again = tmp_path / "again.bin"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _reverse_pad_loop(contexts, width):
@@ -402,9 +411,13 @@ def test_padded_contexts_equal_the_per_item_loop(tmp_path):
             np.testing.assert_array_equal(got, want)
     empty_rev, empty_mask = reverse_pad([], 3)
     assert empty_rev.shape == empty_mask.shape == (0, 3)
-    # loading a cache builds nothing; the arrays come on first use
+    # a stored context is at most the context size long
     path = tmp_path / "cache.bin"
     cache.save(path)
+    with pytest.raises(InputError, match="exceeds its context size 3"):
+        WalkCache.load(path)
+    # loading a cache builds nothing; the arrays come on first use
+    dataclasses.replace(cache, contexts=[c[:3] for c in contexts]).save(path)
     loaded = WalkCache.load(path)
     assert "padded_contexts" not in vars(loaded)
     np.testing.assert_array_equal(loaded.padded_contexts[0], want_rev)
@@ -419,7 +432,7 @@ def test_cache_rejects_foreign_files(tmp_path):
 
 def test_every_truncation_of_a_cache_file_is_an_input_error(tmp_path):
     # empty, short and full contexts; the last item's context is empty, so
-    # the file ends with its (item, length) record
+    # the file ends with the ids of item 3
     contexts = [np.array([4, 1, 7]), np.zeros(0, dtype=np.int64), np.array([9]),
                 np.array([2, 3, 5]), np.zeros(0, dtype=np.int64)]
     path = tmp_path / "cache.bin"
@@ -428,32 +441,108 @@ def test_every_truncation_of_a_cache_file_is_an_input_error(tmp_path):
     cut = tmp_path / "cut.bin"
     for length in range(len(data)):
         cut.write_bytes(data[:length])
-        with pytest.raises(InputError, match="not a walk cache|cache file is corrupt"):
+        with pytest.raises(InputError, match="not a walk cache file|walk cache is truncated"):
             WalkCache.load(cut)
     loaded = WalkCache.load(path)
     assert [c.tolist() for c in loaded.contexts] == [c.tolist() for c in contexts]
     assert all(c.dtype == np.int64 for c in loaded.contexts)
 
 
+_CACHE_META = {"context_size": 2, "seed": 2, "gamma": 0.2, "num_walks": 2, "walk_length": 3}
+_CACHE_ARRAYS = [["lengths", "<u4", [2]], ["ids", "<u4", [3]]]
+_CACHE_IDS = np.array([2, 1, 4, 1, 9], dtype="<u4").tobytes()  # lengths 2, 1; ids 4, 1, 9
+
+
+def _cache_bytes(meta=None, arrays=None, payload=_CACHE_IDS, version=2):
+    return synth.raw_artifact(b"KGWC", version, {"meta": {**_CACHE_META, **(meta or {})},
+                                                 "arrays": arrays or _CACHE_ARRAYS}, payload)
+
+
 def test_cache_load_rejects_bad_records(tmp_path):
     path = tmp_path / "cache.bin"
-    WalkCache([np.array([4, 1]), np.array([9])], 2, seed=2, gamma=0.2, num_walks=2,
-              walk_length=3).save(path)
-    data = path.read_bytes()
-    header = 4 + struct.calcsize("<IIIQdII")
-    cases = {
-        # item 1's record names item 0 again: item 1 never appears
-        "cache is missing items": data[:header + 16] + struct.pack("<I", 0) + data[header + 20:],
-        # an item index past the header's item count
-        "cache file is corrupt": data[:header] + struct.pack("<I", 2) + data[header + 4:],
-        # an item count that the body cannot hold
-        "cache file is corrupt$": data[:8] + struct.pack("<I", 1 << 31) + data[12:],
-        "unsupported cache version 7": data[:4] + struct.pack("<I", 7) + data[8:],
-    }
-    for message, body in cases.items():
+    path.write_bytes(_cache_bytes())
+    assert [c.tolist() for c in WalkCache.load(path).contexts] == [[4, 1], [9]]
+    u4 = functools.partial(np.array, dtype="<u4")
+    cases = [
+        # lengths that do not cover the ids, and a context longer than the context size
+        ("lengths do not sum to its id count, or one exceeds its context size 2",
+         _cache_bytes(payload=u4([1, 1, 4, 1, 9]).tobytes())),
+        ("lengths do not sum to its id count, or one exceeds its context size 2",
+         _cache_bytes(arrays=[["lengths", "<u4", [2]], ["ids", "<u4", [4]]],
+                      payload=u4([1, 3, 4, 1, 9, 9]).tobytes())),
+        # an array that the body cannot hold, and bytes that no array holds
+        ("walk cache is truncated$",
+         _cache_bytes(arrays=[["lengths", "<u4", [2]], ["ids", "<u4", [1 << 31]]])),
+        ("has bytes past its arrays", _cache_bytes(payload=_CACHE_IDS + b"\0\0\0\0")),
+        # arrays of another dtype, order or name set
+        ("arrays are not", _cache_bytes(arrays=[["lengths", "<f8", [2]], ["ids", "<u4", [1]]])),
+        ("arrays are not", _cache_bytes(arrays=[["ids", "<u4", [3]], ["lengths", "<u4", [2]]],
+                                        payload=u4([4, 1, 9, 2, 1]).tobytes())),
+        ("arrays are not", _cache_bytes(arrays=[["lengths", "<u4", [2]]],
+                                        payload=u4([0, 0]).tobytes())),
+        # headers that the container refuses
+        ("header is corrupt", _cache_bytes(arrays=[["ids", "<u4", [2]], ["ids", "<u4", [3]]])),
+        ("header is corrupt", _cache_bytes(arrays=[["lengths", "<i8", [2]], ["ids", "<u4", [1]]])),
+        ("header is corrupt", _cache_bytes(arrays=[["lengths", "<u4", [1, 1, 2]],
+                                                   ["ids", "<u4", [3]]])),
+        ("header is corrupt", synth.raw_artifact(b"KGWC", 2, b"{not json")),
+        ("header is corrupt", synth.raw_artifact(b"KGWC", 2, b"\xff")),
+        ("header is corrupt", synth.raw_artifact(b"KGWC", 2, [1, 2])),
+        # meta values of the wrong kind or range
+        ("field 'seed' is -1, expected an int >= 0", _cache_bytes(meta={"seed": -1})),
+        ("field 'walk_length' is None", _cache_bytes(meta={"walk_length": None})),
+        ("field 'gamma' is '0.2', expected float", _cache_bytes(meta={"gamma": "0.2"})),
+        ("field 'num_walks' is 2.0", _cache_bytes(meta={"num_walks": 2.0})),
+        ("field 'context_size' is True", _cache_bytes(meta={"context_size": True})),
+        ("walk cache num_walks, walk_length and context_size must be >= 1",
+         _cache_bytes(meta={"context_size": 0})),
+        (r"walk cache gamma must be in \(0, 0.5\), got 0.5", _cache_bytes(meta={"gamma": 0.5})),
+        ("unsupported walk cache version 7", _cache_bytes(version=7)),
+    ]
+    for message, body in cases:
         path.write_bytes(body)
         with pytest.raises(InputError, match=message):
             WalkCache.load(path)
+
+
+def test_version_one_cache_is_rejected_by_version(tmp_path):
+    """Version 1 packed a struct header and one (item, length) record per item."""
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"KGWC" + struct.pack("<IIIQdII", 1, 1, 2, 2, 0.2, 2, 3)
+                     + struct.pack("<III", 0, 1, 4))
+    with pytest.raises(InputError, match="unsupported walk cache version 1$"):
+        WalkCache.load(path)
+
+
+def test_cache_with_context_size_above_the_entity_count_does_not_fit():
+    # sized before the padded (items, context_size) table is built
+    cache = WalkCache([np.array([1, 2])] * 3, 6, seed=0, gamma=0.2, num_walks=1, walk_length=1)
+    with pytest.raises(InputError, match="context size 6 exceeds the dataset's 5 entities"):
+        cache.check_fits(3, 5)
+    assert "padded_contexts" not in vars(cache)
+    dataclasses.replace(cache, context_size=5).check_fits(3, 5)
+
+
+def test_corrupt_cache_bytes_load_or_raise_input_error(tmp_path):
+    """One byte overwritten at any offset, or the file cut there: loading and
+    fitting the cache succeeds or raises InputError, and nothing else."""
+    kg = synth.random_kg(np.random.default_rng(14), 12, 2, 24)
+    path = tmp_path / "cache.bin"
+    build_walk_cache(kg, np.arange(5), WalkConfig(0.2, 3, 3, 3), seed=4).save(path)
+    data = path.read_bytes()
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(st.integers(0, len(data) - 1), st.integers(0, 255), st.booleans())
+    def check(offset, value, truncate):
+        path.write_bytes(synth.corrupt_bytes(data, offset, value, truncate))
+        try:
+            cache = WalkCache.load(path)
+            cache.check_fits(5, kg.entity_count)
+        except InputError:
+            return
+        assert cache.padded_contexts[0].shape == (5, cache.context_size)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +647,7 @@ def test_kg_negative_constraints_exhaustively():
         assert len(quads) <= len(kg.triples)
         for h, r, t, neg in quads:
             assert neg != h
-            assert not kg.is_neighbor(h, neg)
+            assert not synth.is_neighbor(kg, h, neg)
 
 
 def test_kg_negatives_cover_every_triple_when_possible():
