@@ -21,35 +21,35 @@ from .training import TrainConfig
 @dataclass
 class RunConfig:
     # [run]
-    seed: int = 7
+    seed: int = TrainConfig.seed
     workers: int = 1
     # [model]
-    d: int = 32
-    S: int = 4
-    N: int = 16
-    disable_local: bool = False
-    disable_nonlocal: bool = False
-    disable_user_attention: bool = False
+    d: int = ModelConfig.dim
+    S: int = ModelConfig.local_size
+    N: int = ModelConfig.history_size
+    disable_local: bool = ModelConfig.disable_local
+    disable_nonlocal: bool = ModelConfig.disable_nonlocal
+    disable_user_attention: bool = ModelConfig.disable_user_attention
     # [walk]
-    gamma: float = 0.2
-    M: int = 15
-    L: int = 8
+    gamma: float = WalkConfig.gamma
+    M: int = WalkConfig.num_walks
+    L: int = WalkConfig.walk_length
     # [train]
-    eta: float = 1e-3
-    lambda1: float = 5e-5
-    lambda2: float = 1e-5
-    B: int = 128
-    n_neg: int = 5
-    epochs: int = 50
-    patience: int = 10
-    eval_every: int = 1
-    fixed_negatives: bool = False
-    max_batches: int | None = None
+    eta: float = TrainConfig.eta
+    lambda1: float = TrainConfig.lambda1
+    lambda2: float = TrainConfig.lambda2
+    B: int = TrainConfig.batch_size
+    n_neg: int = TrainConfig.n_neg
+    epochs: int = TrainConfig.epochs
+    patience: int = TrainConfig.patience
+    eval_every: int = TrainConfig.eval_every
+    fixed_negatives: bool = TrainConfig.fixed_negatives
+    max_batches: int | None = TrainConfig.max_batches
     # [eval]
-    K: tuple = (10, 20, 50)
-    policy: str = "full"
-    n_candidates: int = 100
-    include_valid_in_candidates: bool = False
+    K: tuple = EvalConfig.k_values
+    policy: str = EvalConfig.policy
+    n_candidates: int = EvalConfig.n_candidates
+    include_valid_in_candidates: bool = EvalConfig.include_valid_in_candidates
     # [data]
     threshold: float | None = None
 

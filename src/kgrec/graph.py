@@ -35,14 +35,15 @@ class IdMaps:
         self._to_dense = {ns: {} for ns in _NAMESPACES}
         self._to_raw = {ns: [] for ns in _NAMESPACES}
 
-    def intern(self, namespace: str, raw: str) -> int:
+    def intern(self, namespace: str, raws) -> np.ndarray:
+        """The int64 dense ids of an iterable of raw strings (not one string);
+        a new name gets the next index, so ids follow first appearance."""
+        raws = list(raws)
         table = self._to_dense[namespace]
-        idx = table.get(raw)
-        if idx is None:
-            idx = len(table)
-            table[raw] = idx
-            self._to_raw[namespace].append(raw)
-        return idx
+        new = [raw for raw in dict.fromkeys(raws) if raw not in table]
+        table.update(zip(new, itertools.count(len(table))))
+        self._to_raw[namespace].extend(new)
+        return np.fromiter(map(table.__getitem__, raws), dtype=np.int64, count=len(raws))
 
     def dense(self, namespace: str, raw: str) -> int:
         return self._to_dense[namespace][raw]
@@ -57,10 +58,8 @@ class IdMaps:
         return len(self._to_raw[namespace])
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for ns in _NAMESPACES:
-                for idx, raw in enumerate(self._to_raw[ns]):
-                    fh.write(f"{ns}\t{raw}\t{idx}\n")
+        _write_tsv(path, [(ns, raw, idx) for ns in _NAMESPACES
+                          for idx, raw in enumerate(self._to_raw[ns])])
 
     @classmethod
     def load(cls, path) -> "IdMaps":
@@ -356,25 +355,23 @@ def load_interactions(path, threshold: float | None = None):
     Users and items are indexed in first appearance order among kept rows;
     duplicate (user, item) pairs collapse to one interaction.
     """
-    maps = IdMaps()
-    pairs = []
-    seen = set()
-    for lineno, (raw_user, raw_item, raw_rating) in _read_tsv(path, 3):
+    users, items = [], []
+    for lineno, (user, item, raw_rating) in _read_tsv(path, 3):
         try:
             rating = float(raw_rating)
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric rating {raw_rating!r}") from None
-        if threshold is not None and not rating > threshold:
-            continue
-        u = maps.intern("user", raw_user)
-        i = maps.intern("item", raw_item)
-        if (u, i) not in seen:
-            seen.add((u, i))
-            pairs.append((u, i))
-    if not pairs:
+        if threshold is None or rating > threshold:
+            users.append(user)
+            items.append(item)
+    if not users:
         raise InputError(f"{path}: no interactions retained")
-    store = InteractionStore.unsplit(pairs, maps.count("user"), maps.count("item"))
-    return store, maps
+    maps = IdMaps()
+    pairs = np.stack([maps.intern("user", users), maps.intern("item", items)], axis=1)
+    # the first of each repeated pair, in input order
+    _, first = np.unique(pairs[:, 0] * maps.count("item") + pairs[:, 1], return_index=True)
+    return InteractionStore.unsplit(pairs[np.sort(first)], maps.count("user"),
+                                    maps.count("item")), maps
 
 
 def load_kg(kg_path, item_map_path, id_maps: IdMaps):
@@ -383,42 +380,39 @@ def load_kg(kg_path, item_map_path, id_maps: IdMaps):
     Every item present in ``id_maps`` must resolve to exactly one entity that
     occurs in the triple file, and no two items may share an entity.
     """
-    triples = []
-    for _, (raw_h, raw_r, raw_t) in _read_tsv(kg_path, 3):
-        h = id_maps.intern("entity", raw_h)
-        r = id_maps.intern("relation", raw_r)
-        t = id_maps.intern("entity", raw_t)
-        triples.append(Triple(h, r, t))
-    if not triples:
+    ends, relations = [], []
+    for _, (head, relation, tail) in _read_tsv(kg_path, 3):
+        ends += head, tail  # interleaved, so entities are numbered in line order
+        relations.append(relation)
+    if not relations:
         raise InputError(f"{kg_path}: no triples loaded")
+    ends = id_maps.intern("entity", ends)
+    triples = np.stack([ends[0::2], id_maps.intern("relation", relations), ends[1::2]], axis=1)
     kg = KnowledgeGraph(id_maps.count("entity"), id_maps.count("relation"), triples)
 
-    n_items = id_maps.count("item")
-    item_entities = np.full(n_items, -1, dtype=np.int64)
-    duplicates = []
-    unknown = []
+    item_entities = np.full(id_maps.count("item"), -1, dtype=np.int64)
+    duplicates, unknown = [], []
     for lineno, (raw_item, raw_entity) in _read_tsv(item_map_path, 2):
         if not id_maps.has("item", raw_item):
             continue  # catalog rows for items absent from the interaction data
         item = id_maps.dense("item", raw_item)
         if not id_maps.has("entity", raw_entity):
             unknown.append(f"line {lineno}: {raw_item!r} -> unknown entity {raw_entity!r}")
-            continue
-        if item_entities[item] != -1:
+        elif item_entities[item] != -1:
             duplicates.append(f"line {lineno}: {raw_item!r} mapped more than once")
-            continue
-        item_entities[item] = id_maps.dense("entity", raw_entity)
+        else:
+            item_entities[item] = id_maps.dense("entity", raw_entity)
     if unknown:
         raise InputError(f"{item_map_path}: " + "; ".join(unknown))
     if duplicates:
         raise InputError(f"{item_map_path}: " + "; ".join(duplicates))
-    missing = [id_maps.raw("item", i) for i in range(n_items) if item_entities[i] == -1]
+    missing = [id_maps.raw("item", i) for i in np.flatnonzero(item_entities == -1)[:10]]
     if missing:
-        raise InputError(f"{item_map_path}: items without an entity: {missing[:10]}")
-    mapped = item_entities.tolist()
-    if len(set(mapped)) != len(mapped):
-        shared = sorted({e for e in mapped if mapped.count(e) > 1})
-        raise InputError(f"{item_map_path}: entities shared by several items: {shared[:10]}")
+        raise InputError(f"{item_map_path}: items without an entity: {missing}")
+    entities, counts = np.unique(item_entities, return_counts=True)
+    if (counts > 1).any():
+        shared = entities[counts > 1][:10].tolist()
+        raise InputError(f"{item_map_path}: entities shared by several items: {shared}")
     return kg, item_entities
 
 
@@ -450,25 +444,25 @@ def split_interactions(store: InteractionStore, ratios=(0.6, 0.2, 0.2),
 # ---------------------------------------------------------------------------
 
 
+def _write_tsv(path, rows) -> None:
+    """One line per row of a list of equal-length rows or a 2-D array, each
+    field formatted as ``str`` does, tab-separated."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    line = "\t".join(["{}"] * len(rows[0])) + "\n" if rows else ""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(itertools.starmap(line.format, rows))
+
+
 def save_dataset(dirpath, store: InteractionStore, kg: KnowledgeGraph,
                  item_entities: np.ndarray, id_maps: IdMaps) -> None:
     os.makedirs(dirpath, exist_ok=True)
     id_maps.save(os.path.join(dirpath, "id_maps.tsv"))
-    with open(os.path.join(dirpath, "meta.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(f"users\t{store.user_count}\n")
-        fh.write(f"items\t{store.item_count}\n")
-        fh.write(f"entities\t{kg.entity_count}\n")
-        fh.write(f"relations\t{kg.original_relation_count}\n")
-    for split in SPLITS:
-        with open(os.path.join(dirpath, f"{split}.tsv"), "w", encoding="utf-8") as fh:
-            for u, i in store._pairs[split].tolist():
-                fh.write(f"{u}\t{i}\n")
-    with open(os.path.join(dirpath, "kg.tsv"), "w", encoding="utf-8") as fh:
-        for h, r, t in kg.triple_table.tolist():
-            fh.write(f"{h}\t{r}\t{t}\n")
-    with open(os.path.join(dirpath, "item_entities.tsv"), "w", encoding="utf-8") as fh:
-        for item, entity in enumerate(item_entities):
-            fh.write(f"{item}\t{entity}\n")
+    tables = {"meta": [("users", store.user_count), ("items", store.item_count),
+                       ("entities", kg.entity_count), ("relations", kg.original_relation_count)],
+              **{split: store._pairs[split] for split in SPLITS}, "kg": kg.triple_table,
+              "item_entities": np.stack([np.arange(len(item_entities)), item_entities], axis=1)}
+    for name, rows in tables.items():
+        _write_tsv(os.path.join(dirpath, f"{name}.tsv"), rows)
 
 
 def load_dataset(dirpath):

@@ -215,11 +215,15 @@ class WalkCache:
                              f"dataset has {entity_count} entities")
 
     def save(self, path) -> None:
+        lengths = np.array([len(ctx) for ctx in self.contexts], dtype="<u4")
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *self.contexts])
+        bad = np.flatnonzero((ids < 0) | (ids >= 2**32))  # not storable as <u4
+        if bad.size:
+            item = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
+            raise InputError(f"walk cache item {item} holds id {ids[bad[0]]}, outside [0, 2**32)")
         write_artifact(path, _CACHE_MAGIC, _CACHE_VERSION,
                        {name: kind(getattr(self, name)) for name, kind in _CACHE_FIELDS.items()},
-                       {"lengths": np.array([len(ctx) for ctx in self.contexts], dtype="<u4"),
-                        "ids": np.concatenate([np.zeros(0, dtype="<u4"), *self.contexts],
-                                              dtype="<u4", casting="unsafe")})
+                       {"lengths": lengths, "ids": ids.astype("<u4")})
 
     @classmethod
     def load(cls, path) -> "WalkCache":

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 
 from kgrec import autodiff as ad
-from kgrec.graph import InteractionStore, KnowledgeGraph, Triple
+from kgrec.graph import IdMaps, InputError, InteractionStore, KnowledgeGraph, Triple, _read_tsv
 
 
 def softmax_rows(a):
@@ -300,3 +300,73 @@ def write_planted_files(dirpath, seed=0, n_users=20, n_items=30, core=8):
         for i in range(n_items):
             fh.write(f"i{i}\te{i}\n")
     return ratings, kg_file, item_map
+
+
+def _intern_one(maps, namespace, raw):
+    return int(maps.intern(namespace, [raw])[0])
+
+
+def reference_load_interactions(path, threshold=None):
+    """The per-line ingest that ``graph.load_interactions`` replaces: one
+    ``intern`` call per field and a set of the pairs seen so far."""
+    maps = IdMaps()
+    pairs = []
+    seen = set()
+    for lineno, (raw_user, raw_item, raw_rating) in _read_tsv(path, 3):
+        try:
+            rating = float(raw_rating)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric rating {raw_rating!r}") from None
+        if threshold is not None and not rating > threshold:
+            continue
+        u = _intern_one(maps, "user", raw_user)
+        i = _intern_one(maps, "item", raw_item)
+        if (u, i) not in seen:
+            seen.add((u, i))
+            pairs.append((u, i))
+    if not pairs:
+        raise InputError(f"{path}: no interactions retained")
+    store = InteractionStore.unsplit(pairs, maps.count("user"), maps.count("item"))
+    return store, maps
+
+
+def reference_load_kg(kg_path, item_map_path, id_maps):
+    """The per-line ingest that ``graph.load_kg`` replaces: one ``intern``
+    call per field, a list of ``Triple``s and a count of every mapped entity."""
+    triples = []
+    for _, (raw_h, raw_r, raw_t) in _read_tsv(kg_path, 3):
+        h = _intern_one(id_maps, "entity", raw_h)
+        r = _intern_one(id_maps, "relation", raw_r)
+        t = _intern_one(id_maps, "entity", raw_t)
+        triples.append(Triple(h, r, t))
+    if not triples:
+        raise InputError(f"{kg_path}: no triples loaded")
+    kg = KnowledgeGraph(id_maps.count("entity"), id_maps.count("relation"), triples)
+
+    n_items = id_maps.count("item")
+    item_entities = np.full(n_items, -1, dtype=np.int64)
+    duplicates = []
+    unknown = []
+    for lineno, (raw_item, raw_entity) in _read_tsv(item_map_path, 2):
+        if not id_maps.has("item", raw_item):
+            continue
+        item = id_maps.dense("item", raw_item)
+        if not id_maps.has("entity", raw_entity):
+            unknown.append(f"line {lineno}: {raw_item!r} -> unknown entity {raw_entity!r}")
+            continue
+        if item_entities[item] != -1:
+            duplicates.append(f"line {lineno}: {raw_item!r} mapped more than once")
+            continue
+        item_entities[item] = id_maps.dense("entity", raw_entity)
+    if unknown:
+        raise InputError(f"{item_map_path}: " + "; ".join(unknown))
+    if duplicates:
+        raise InputError(f"{item_map_path}: " + "; ".join(duplicates))
+    missing = [id_maps.raw("item", i) for i in range(n_items) if item_entities[i] == -1]
+    if missing:
+        raise InputError(f"{item_map_path}: items without an entity: {missing[:10]}")
+    mapped = item_entities.tolist()
+    if len(set(mapped)) != len(mapped):
+        shared = sorted({e for e in mapped if mapped.count(e) > 1})
+        raise InputError(f"{item_map_path}: entities shared by several items: {shared[:10]}")
+    return kg, item_entities

@@ -5,14 +5,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrec import training
 from kgrec.autodiff import save_checkpoint
 from kgrec.cli import main
 from kgrec.config import load_config, save_config
+from kgrec.evaluation import EvalConfig
 from kgrec.graph import load_dataset
 from kgrec.model import ModelConfig, init_params
-from kgrec.sampling import WalkCache
+from kgrec.sampling import WalkCache, WalkConfig
 
 import synth
 
@@ -171,6 +174,56 @@ def test_config_echo_reloads_identically(pipeline):
     save_config(cfg, run / "config2.ini")
     cfg2 = load_config(run / "config2.ini")
     assert cfg == cfg2
+
+
+def test_default_config_is_the_section_defaults():
+    cfg = load_config()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.walk_config() == WalkConfig(context_size=cfg.S)
+    assert cfg.train_config() == training.TrainConfig()
+    assert cfg.eval_config() == EvalConfig()
+
+
+# the README's toy corpus
+TOY_FILES = {
+    "ratings.tsv": b"u1\ti1\t5\nu1\ti2\t4\nu2\ti2\t5\nu2\ti3\t5\nu3\ti1\t5\nu3\ti3\t4\n",
+    "kg.tsv": b"e1\tgenre\tg1\ne2\tgenre\tg1\ne3\tgenre\tg2\ng1\trelated\tg2\n",
+    "item_map.tsv": b"i1\te1\ni2\te2\ni3\te3\n",
+}
+
+
+def test_preprocess_of_a_corrupt_raw_file_exits_zero_or_one(tmp_path, capsys):
+    paths = {name: tmp_path / name for name in TOY_FILES}
+    argv = ["preprocess", "--ratings", str(paths["ratings.tsv"]), "--kg", str(paths["kg.tsv"]),
+            "--item-map", str(paths["item_map.tsv"]), "--out", str(tmp_path / "dataset")]
+    codes = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from(sorted(TOY_FILES)),
+           st.sampled_from(["flip", "cut", "repeat", "insert"]), st.data())
+    def check(name, fault, data):
+        blob = TOY_FILES[name]
+        at = data.draw(st.integers(0, len(blob) - 1))
+        if fault == "flip":
+            bit = 1 << data.draw(st.integers(0, 7))
+            blob = synth.corrupt_bytes(blob, at, blob[at] ^ bit, False)
+        elif fault == "cut":
+            blob = blob[:at]
+        elif fault == "repeat":
+            end = data.draw(st.integers(at, len(blob)))
+            blob = blob[:end] + blob[at:end] + blob[end:]
+        else:
+            token = data.draw(st.sampled_from([b"-1", b"nan", b"\t", b"9" * 30, b"\xff"]))
+            blob = blob[:at] + token + blob[at:]
+        for other, path in paths.items():
+            path.write_bytes(blob if other == name else TOY_FILES[other])
+        code = main(argv)
+        assert code in (0, 1)
+        codes.add(code)
+
+    check()
+    capsys.readouterr()
+    assert codes == {0, 1}
 
 
 def test_missing_input_file_exits_one(tmp_path):

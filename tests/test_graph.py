@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgrec.graph import (IdMaps, InputError, InteractionStore, KnowledgeGraph,
@@ -371,9 +371,9 @@ def test_rows_of_the_wrong_width_are_input_errors():
 
 def test_id_maps_round_trip(tmp_path):
     maps = IdMaps()
-    for raw in ("alpha", "beta"):
-        maps.intern("user", raw)
-    maps.intern("entity", "e0")
+    assert maps.intern("user", ["alpha", "beta", "alpha"]).tolist() == [0, 1, 0]
+    assert maps.intern("user", iter(["gamma", "beta"])).tolist() == [2, 1]
+    maps.intern("entity", ["e0"])
     path = tmp_path / "ids.tsv"
     maps.save(path)
     loaded = IdMaps.load(path)
@@ -416,8 +416,7 @@ def test_dataset_directory_round_trip(tmp_path):
     item_entities = np.array([0, 1, 2])
     maps = IdMaps()
     for ns, count in (("user", 2), ("item", 3), ("entity", 10), ("relation", 2)):
-        for j in range(count):
-            maps.intern(ns, f"{ns}{j}")
+        maps.intern(ns, [f"{ns}{j}" for j in range(count)])
     save_dataset(tmp_path / "ds", store, kg, item_entities, maps)
     store2, kg2, item_entities2, maps2 = load_dataset(tmp_path / "ds")
     assert store2.pairs("train") == store.pairs("train")
@@ -437,8 +436,7 @@ def test_empty_split_file_loads_without_a_warning(tmp_path):
     store = InteractionStore(2, 3, {"train": [(0, 0), (1, 2)], "test": [(0, 1)]})
     maps = IdMaps()
     for ns, count in (("user", 2), ("item", 3), ("entity", 10), ("relation", 2)):
-        for j in range(count):
-            maps.intern(ns, f"{ns}{j}")
+        maps.intern(ns, [f"{ns}{j}" for j in range(count)])
     save_dataset(tmp_path / "ds", store, kg, np.array([0, 1, 2]), maps)
     assert (tmp_path / "ds" / "valid.tsv").read_text() == ""
     with warnings.catch_warnings():
@@ -461,8 +459,7 @@ def test_malformed_dataset_directory_is_an_input_error(tmp_path, name, text):
     store = InteractionStore(2, 3, {"train": [(0, 0), (1, 2)]})
     maps = IdMaps()
     for ns, count in (("user", 2), ("item", 3), ("entity", 10), ("relation", 2)):
-        for j in range(count):
-            maps.intern(ns, f"{ns}{j}")
+        maps.intern(ns, [f"{ns}{j}" for j in range(count)])
     save_dataset(tmp_path / "ds", store, kg, np.array([0, 1, 2]), maps)
     (tmp_path / "ds" / name).write_text(text)
     with pytest.raises(InputError, match="malformed dataset"):
@@ -477,6 +474,105 @@ def test_reingestion_is_bit_identical(tmp_path):
     s2, m2 = load_interactions(p2)
     assert all(s1.pairs(s) == s2.pairs(s) for s in ("train", "valid", "test"))
     assert all(m1.raw("user", j) == m2.raw("user", j) for j in range(2))
+
+
+# raw ids from small pools, so rows repeat, with numeric-looking, non-ASCII
+# and spaced names; and any short text without a tab or line break
+_RAW_ITEM = st.sampled_from(["i", "2", "02", "ï", "2.0"])
+_RAW_ID = st.one_of(
+    st.sampled_from(["a", "1", "01", "1.0", "-2", "é", "日本", "x y", "#"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+            min_size=1, max_size=3))
+
+
+# a fault drawn into about one file in ten
+_ONE_IN_TEN = st.sampled_from([False] * 9 + [True])
+
+
+def _raw_file(draw, rows, n_fields):
+    """Tab-joined rows with comment and blank lines mixed in, maybe one line
+    of the wrong field count, LF or CRLF line ends."""
+    lines = ["\t".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["# a\tcomment", "", " \t ", "#"])))
+    if draw(_ONE_IN_TEN):
+        width = draw(st.sampled_from([k for k in (1, 2, 3, 4) if k != n_fields]))
+        lines.insert(draw(st.integers(0, len(lines))), "\t".join(["f"] * width))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def _raw_corpus(draw):
+    ratings = draw(st.lists(st.tuples(_RAW_ID, _RAW_ITEM, st.sampled_from(
+        ["5", "4", "3.5", " 2 ", "1e1", "-1", "nan", "inf"])), min_size=1, max_size=10))
+    if draw(_ONE_IN_TEN):
+        at = draw(st.integers(0, len(ratings) - 1))
+        ratings[at] = (*ratings[at][:2], draw(st.sampled_from(["bad", "", "4,5"])))
+    triples = draw(st.lists(st.tuples(_RAW_ID, st.sampled_from(["r", "1", "ü"]), _RAW_ID),
+                            min_size=2, max_size=8))
+    # items paired with distinct entities of the triples, then perturbed
+    items = list(dict.fromkeys(item for _, item, _ in ratings))
+    entities = draw(st.permutations(list(dict.fromkeys(e for h, _, t in triples for e in (h, t)))))
+    mapping = list(zip(items, entities))
+    for fault in draw(st.lists(st.sampled_from(
+            ["drop", "twice", "unknown", "absent", "shared"]), max_size=2)):
+        if fault == "drop" and mapping:
+            mapping.pop(draw(st.integers(0, len(mapping) - 1)))
+        elif fault == "twice" and mapping:
+            mapping.append((draw(st.sampled_from(mapping))[0], draw(st.sampled_from(entities))))
+        elif fault == "unknown":
+            mapping.append((draw(st.sampled_from(items)), "no such entity"))
+        elif fault == "absent":
+            mapping.append(("no such item", draw(st.sampled_from(entities))))
+        elif fault == "shared" and len(mapping) > 1:
+            mapping[1] = (mapping[1][0], mapping[0][1])
+    mapping = draw(st.permutations(mapping))
+    return (_raw_file(draw, ratings, 3), _raw_file(draw, triples, 3),
+            _raw_file(draw, mapping, 2), draw(st.sampled_from([None, 3.0, 4.0, 4.5])))
+
+
+def _ingest(load_interactions_fn, load_kg_fn, paths, threshold):
+    """Everything ingest returns, or the message of its ``InputError``."""
+    try:
+        store, maps = load_interactions_fn(paths[0], threshold)
+        kg, item_entities = load_kg_fn(paths[1], paths[2], maps)
+    except InputError as exc:
+        return str(exc)
+    return (store.pairs("train"), store.user_count, store.item_count,
+            {ns: [maps.raw(ns, j) for j in range(maps.count(ns))]
+             for ns in ("user", "item", "entity", "relation")},
+            kg.entity_count, kg.original_relation_count, kg.triple_table.tolist(),
+            item_entities.dtype, item_entities.tolist())
+
+
+def test_bulk_ingest_equals_the_per_line_reference(tmp_path):
+    paths = [tmp_path / name for name in ("ratings.tsv", "kg.tsv", "item_map.tsv")]
+    outcomes = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_raw_corpus())
+    @example(("u\ti\t5\nu\t2\t5\nv\t02\t5\nv\tï\t5\n", "a\tr\tb\n",
+              "i\tb\n2\tb\n02\ta\nï\ta\n", None))  # two shared entities
+    @example(("u\ti\t5\nu\t2\t5\n", "a\tr\tb\n", "i\ta\n2\tb\ni\tb\n", None))  # mapped twice
+    @example(("u\ti\t5\nu\t2\t5\n", "a\tr\tb\n", "i\tc\n2\tb\n", None))  # unknown entity
+    @example(("u\ti\t5\nu\t2\tx\n", "a\tr\tb\n", "i\ta\n2\tb\n", 3.0))  # rating "x"
+    def check(corpus):
+        *texts, threshold = corpus
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        got = _ingest(load_interactions, load_kg, paths, threshold)
+        assert got == _ingest(synth.reference_load_interactions, synth.reference_load_kg,
+                              paths, threshold)
+        outcomes.append(got if isinstance(got, str) else "ok")
+
+    check()
+    # the examples and drawn files reach success and every kind of refusal
+    for kind in ("ok", "expected 3 tab-separated fields", "expected 2 tab-separated",
+                 "non-numeric rating", "no interactions retained", "unknown entity",
+                 "mapped more than once", "items without an entity", "shared by several"):
+        assert any(kind in outcome for outcome in outcomes), kind
 
 
 def test_positives_match_brute_force_on_every_split():

@@ -382,6 +382,22 @@ def test_cache_file_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("bad, item", [(np.array([-1, 5]), 1), (np.array([2**32 + 3]), 1),
+                                       (np.array([0, 2**32]), 2)])
+def test_cache_save_refuses_ids_outside_u4(tmp_path, bad, item):
+    # <u4 would store -1 as 4294967295 and 2**32 + 3 as 3
+    contexts = [np.array([1, 2]), np.zeros(0, dtype=np.int64), np.array([7])]
+    contexts[item] = bad
+    path = tmp_path / "cache.bin"
+    with pytest.raises(InputError, match=f"item {item} holds id .*, outside"):
+        WalkCache(contexts, 2, seed=1, gamma=0.2, num_walks=1, walk_length=1).save(path)
+    assert not path.exists()
+    # the largest and smallest storable ids round-trip unchanged
+    contexts[item] = np.array([2**32 - 1, 0])
+    WalkCache(contexts, 2, seed=1, gamma=0.2, num_walks=1, walk_length=1).save(path)
+    assert [c.tolist() for c in WalkCache.load(path).contexts] == [c.tolist() for c in contexts]
+
+
 def _reverse_pad_loop(contexts, width):
     """The per-item loop the padded arrays replace."""
     ctx_rev = np.zeros((len(contexts), width), dtype=np.int64)
