@@ -56,8 +56,6 @@ def _checkpoint_meta(cfg: RunConfig, store, kg) -> dict:
 
 def cmd_preprocess(args) -> int:
     cfg = _config_from(args)
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
     store, id_maps = graph.load_interactions(args.ratings, cfg.threshold)
     kg, item_entities = graph.load_kg(args.kg, args.item_map, id_maps)
     store = graph.split_interactions(store, (0.6, 0.2, 0.2), cfg.seed)
@@ -191,8 +189,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 1); argparse would exit 2, which
+    here means a numeric abort.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgrec",
         description="Knowledge-graph recommender: preprocessing, walk caching, "
                     "training, evaluation, ablations and sweeps.")
@@ -203,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg", required=True)
     p.add_argument("--item-map", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     _add_config_args(p)
     p.set_defaults(func=cmd_preprocess)
@@ -212,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     _add_config_args(p)
     p.set_defaults(func=cmd_build_cache)
 
@@ -254,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ from .training import TrainConfig
 class RunConfig:
     # [run]
     seed: int = TrainConfig.seed
-    workers: int = 1
     # [model]
     d: int = ModelConfig.dim
     S: int = ModelConfig.local_size
@@ -47,8 +46,6 @@ class RunConfig:
     max_batches: int | None = TrainConfig.max_batches
     # [eval]
     K: tuple = EvalConfig.k_values
-    policy: str = EvalConfig.policy
-    n_candidates: int = EvalConfig.n_candidates
     include_valid_in_candidates: bool = EvalConfig.include_valid_in_candidates
     # [data]
     threshold: float | None = None
@@ -72,19 +69,18 @@ class RunConfig:
                            fixed_negatives=self.fixed_negatives)
 
     def eval_config(self) -> EvalConfig:
-        return EvalConfig(k_values=tuple(self.K), policy=self.policy,
-                          n_candidates=self.n_candidates,
+        return EvalConfig(k_values=tuple(self.K),
                           include_valid_in_candidates=self.include_valid_in_candidates)
 
 
 _SECTIONS = {
-    "run": ("seed", "workers"),
+    "run": ("seed",),
     "model": ("d", "S", "N", "disable_local", "disable_nonlocal",
               "disable_user_attention"),
     "walk": ("gamma", "M", "L"),
     "train": ("eta", "lambda1", "lambda2", "B", "n_neg", "epochs", "patience",
               "eval_every", "fixed_negatives", "max_batches"),
-    "eval": ("K", "policy", "n_candidates", "include_valid_in_candidates"),
+    "eval": ("K", "include_valid_in_candidates"),
     "data": ("threshold",),
 }
 

@@ -1,21 +1,20 @@
 """Top-K ranking protocol and metrics.
 
-Evaluation ranks every candidate item for a user (full-ranking policy) with
-the model's own forward over constant parameters, then averages precision,
+Evaluation ranks every candidate item for a user (full ranking) with the
+model's own forward over constant parameters, then averages precision,
 recall and hit ratio over users.  Contexts are sampled once per
 evaluation from dedicated sub-streams, so reports are deterministic.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import SPLITS, InputError, InteractionStore, KnowledgeGraph
+from .graph import InputError, InteractionStore, KnowledgeGraph
 from .model import GraphContextModel, ItemInputs, ModelConfig
 from .sampling import WalkCache, sample_history, sample_local_neighbors, substream
 
@@ -23,16 +22,12 @@ from .sampling import WalkCache, sample_history, sample_local_neighbors, substre
 @dataclass
 class EvalConfig:
     k_values: tuple = (10, 20, 50)
-    policy: str = "full"              # "full" or "sampled" (smoke checks only)
-    n_candidates: int = 100           # negatives per positive in sampled mode
     include_valid_in_candidates: bool = False
 
     def __post_init__(self):
         if any(k < 1 for k in self.k_values):
             raise InputError(f"K values must be positive: {self.k_values}")
         self.k_values = tuple(sorted(self.k_values))
-        if self.policy not in ("full", "sampled"):
-            raise InputError(f"unknown candidate policy {self.policy!r}")
 
 
 @dataclass
@@ -40,7 +35,6 @@ class EvalReport:
     split: str
     metrics: dict               # K -> {"precision": .., "recall": .., "hit_ratio": ..}
     users_evaluated: int
-    seconds: float = 0.0
 
     def to_lines(self) -> list:
         lines = []
@@ -108,17 +102,15 @@ def metrics_for_user(ranked, test_positives, k: int) -> tuple:
 
 def _candidates_for(store: InteractionStore, user: int, split: str,
                     cfg: EvalConfig) -> np.ndarray:
+    """Items ranked for ``user`` on ``split``, ascending: every item less the
+    user's train items (off the train split) and valid items (on the test
+    split, unless ``include_valid_in_candidates``)."""
     excluded = ["train"] if split != "train" else []
     if split == "test" and not cfg.include_valid_in_candidates:
         excluded.append("valid")
-    return _items_except(store, user, excluded)
-
-
-def _items_except(store: InteractionStore, user: int, splits) -> np.ndarray:
-    """Items the user has in none of ``splits``, ascending."""
     keep = np.ones(store.item_count, dtype=bool)
-    for split in splits:
-        keep[store.positive_list(user, split)] = False
+    for name in excluded:
+        keep[store.positive_list(user, name)] = False
     return np.flatnonzero(keep)
 
 
@@ -132,12 +124,10 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     """
     cfg = cfg or EvalConfig()
     cache.check_fits(len(item_entities), kg.entity_count)
-    started = time.perf_counter()
     contexts = ItemContextSet.build(kg, item_entities, cache, model_cfg.local_size,
                                     substream(seed, "eval-items"))
     scorer = FastScorer(params, model_cfg, item_entities, contexts)
     rng_hist = substream(seed, "eval-history")
-    rng_sampled = substream(seed, "eval-candidates")
 
     users = store.users_in(split)
     histories, has_history = sample_history(store, users, None, model_cfg.history_size,
@@ -146,36 +136,13 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     for user, history, nonempty in zip(users.tolist(), histories, has_history):
         positives = store.positive_list(user, split)
         scores = scorer.user_scores(user, history if nonempty else [])
-        if cfg.policy == "full":
-            ranked = rank_items(scores, _candidates_for(store, user, split, cfg))
-            per_user = {k: metrics_for_user(ranked, positives, k)
-                        for k in cfg.k_values}
-        else:
-            per_user = _sampled_candidate_metrics(scores, store, user, positives,
-                                                  cfg, rng_sampled)
+        ranked = rank_items(scores, _candidates_for(store, user, split, cfg))
         for k in cfg.k_values:
-            totals[k] += np.array(per_user[k])
+            totals[k] += np.array(metrics_for_user(ranked, positives, k))
 
     metrics = {}
     for k in cfg.k_values:
         avg = totals[k] / len(users) if len(users) else np.zeros(3)
         metrics[k] = {"precision": float(avg[0]), "recall": float(avg[1]),
                       "hit_ratio": float(avg[2])}
-    return EvalReport(split=split, metrics=metrics, users_evaluated=len(users),
-                      seconds=time.perf_counter() - started)
-
-
-def _sampled_candidate_metrics(scores, store, user, positives, cfg, rng):
-    """Fast smoke protocol: rank each positive among sampled negatives only."""
-    pool = _items_except(store, user, SPLITS)
-    sums = {k: np.zeros(3) for k in cfg.k_values}
-    for pos in positives:
-        if len(pool) > cfg.n_candidates:
-            negs = pool[rng.choice(len(pool), size=cfg.n_candidates, replace=False)]
-        else:
-            negs = pool
-        cands = np.concatenate([[pos], negs])
-        ranked = rank_items(scores, np.sort(cands))
-        for k in cfg.k_values:
-            sums[k] += np.array(metrics_for_user(ranked, [pos], k))
-    return {k: tuple(sums[k] / len(positives)) for k in cfg.k_values}
+    return EvalReport(split=split, metrics=metrics, users_evaluated=len(users))

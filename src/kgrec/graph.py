@@ -448,9 +448,9 @@ def _write_tsv(path, rows) -> None:
     """One line per row of a list of equal-length rows or a 2-D array, each
     field formatted as ``str`` does, tab-separated."""
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-    line = "\t".join(["{}"] * len(rows[0])) + "\n" if rows else ""
+    line = "\t".join(["%s"] * len(rows[0])) + "\n" if rows else ""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(itertools.starmap(line.format, rows))
+        fh.write(line * len(rows) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def save_dataset(dirpath, store: InteractionStore, kg: KnowledgeGraph,

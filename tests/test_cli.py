@@ -234,11 +234,50 @@ def test_missing_input_file_exits_one(tmp_path):
     assert code == 1
 
 
-def test_bad_config_key_exits_one(pipeline):
+@pytest.mark.parametrize("via", ["set", "ini"])
+@pytest.mark.parametrize("setting", ["bogus=1", "workers=1", "policy=full",
+                                     "n_candidates=100"])
+def test_bad_config_key_exits_one(pipeline, capsys, setting, via):
+    """An unknown key is refused, and so is a retired one that an older
+    echoed config.ini still names."""
     tmp_path, dataset, cache = pipeline
+    key, value = setting.split("=")
+    if via == "set":
+        source = ["--set", setting]
+    else:
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[{'run' if key == 'workers' else 'eval'}]\n{key} = {value}\n")
+        source = ["--config", str(ini)]
+    capsys.readouterr()
     code = main(["train", "--dataset", str(dataset), "--cache", str(cache),
-                 "--out", str(tmp_path / "x"), "--set", "bogus=1"])
+                 "--out", str(tmp_path / "x")] + source)
     assert code == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["build-cache", "--dataset", "d", "--out", "c.bin", "--workers", "2"], "--workers"),
+    (["preprocess", "--ratings", "r", "--kg", "k", "--item-map", "m", "--out", "o",
+      "--threshold", "4"], "--threshold"),
+    (["train", "--dataset", "d", "--cache", "c.bin"], "--out"),
+    (["bogus"], "'bogus'"),
+    (["--help"], None),
+], ids=["build-cache-workers", "preprocess-threshold", "missing-out",
+        "unknown-subcommand", "help"])
+def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv, named):
+    """A usage error is an input error (exit 1) naming what is wrong, not
+    argparse's exit 2, which would read as a numeric abort; --help exits 0."""
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help prints and exits
+        code = exc.code
+    if named is None:
+        assert code == 0
+    else:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and named in err
 
 
 def test_numeric_overflow_exits_two(pipeline):
