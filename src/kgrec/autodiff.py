@@ -667,13 +667,20 @@ def gru_sequence(x: Tensor, mask, p: GruParams) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             xs = x.data[k * units:(k + 1) * units]
-            pre_z = xs @ p.wz.data + p.bz.data + hs @ p.uz.data
-            pre_r = xs @ p.wr.data + p.br.data + hs @ p.ur.data
-            r = _sigmoid_data(pre_r)
-            rh = r * hs
-            pre_c = xs @ p.wc.data + p.bc.data + rh @ p.uc.data
-            if not (np.isfinite(pre_z).all() and np.isfinite(pre_r).all()
-                    and np.isfinite(pre_c).all()):
+            pre_z = xs @ p.wz.data + p.bz.data
+            pre_c = xs @ p.wc.data + p.bc.data
+            # step 0 starts from the zero state: its recurrent products and
+            # its reset gate are zero, and adding them changes no bit
+            r = rh = None
+            if k:
+                pre_z += hs @ p.uz.data
+                pre_r = xs @ p.wr.data + p.br.data + hs @ p.ur.data
+                r = _sigmoid_data(pre_r)
+                rh = r * hs
+                pre_c += rh @ p.uc.data
+                if not np.isfinite(pre_r).all():
+                    raise NumericError("op 'gru_sequence' produced non-finite values")
+            if not (np.isfinite(pre_z).all() and np.isfinite(pre_c).all()):
                 raise NumericError("op 'gru_sequence' produced non-finite values")
             z = _sigmoid_data(pre_z)
             c = np.tanh(pre_c)
@@ -691,6 +698,16 @@ def gru_sequence(x: Tensor, mask, p: GruParams) -> Tensor:
             g_new = g * m
             d_c = g_new * z * (1.0 - c * c)
             d_z = g_new * (c - hs) * z * (1.0 - z)
+            if not k:
+                # the zero state feeds no weight of step 0's recurrent products
+                # or reset gate, and its own gradient is not needed
+                for pre, w, b in ((d_z, p.wz, p.bz), (d_c, p.wc, p.bc)):
+                    if w.requires_grad:
+                        _accum(w, xs.T @ pre, owned=True)
+                    if b.requires_grad:
+                        _accum(b, pre.sum(axis=0, keepdims=True), owned=True)
+                d_x[k] = d_z @ p.wz.data.T + d_c @ p.wc.data.T
+                continue
             d_rh = d_c @ p.uc.data.T
             d_r = d_rh * hs * r * (1.0 - r)
             for pre, w, u, b, u_in in ((d_z, p.wz, p.uz, p.bz, hs),

@@ -110,7 +110,7 @@ def _parse_value(key: str, raw: str):
             return tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise InputError(f"config key {key!r}: cannot parse {raw!r}") from None
-    return raw
+    raise TypeError(f"config key {key!r} has type {hint!r}, which _parse_value does not parse")
 
 
 def _format_value(value) -> str:

@@ -8,15 +8,22 @@ evaluation from dedicated sub-streams, so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import InputError, InteractionStore, KnowledgeGraph
-from .model import GraphContextModel, ItemInputs, ModelConfig
+from .model import GraphContextModel, ItemInputs, ItemStage, ModelConfig
 from .sampling import WalkCache, sample_history, sample_local_neighbors, substream
+
+# Items per item-stage call when a scorer is built.  A block's (block·S, d)
+# temporaries, 512·4·32 floats (0.5 MB) at the benchmark's shape, stay in a
+# core's L2 cache, where the whole catalogue's (3.9 MB each) did not: one
+# pass over 3846 items took 31 ms against 41 ms unblocked, and 34 ms with
+# blocks of 256 or of 1024 (one BLAS thread).
+STAGE_BLOCK = 512
 
 
 @dataclass
@@ -57,20 +64,38 @@ class ItemContextSet:
         return ItemInputs(entities, rels, tails, *cache.padded_contexts)
 
 
+def _item_stage_in_blocks(model: GraphContextModel, items: ItemInputs) -> ItemStage:
+    """``model.item_stage(items)`` run on STAGE_BLOCK items at a time, each
+    field concatenated: the same rows, as constants."""
+    n = len(items.entities)
+    blocks = [model.item_stage(ItemInputs(*(getattr(items, f.name)[start:start + STAGE_BLOCK]
+                                            for f in fields(ItemInputs))))
+              for start in range(0, n, STAGE_BLOCK)]
+
+    def joined(name: str) -> Tensor | None:
+        parts = [getattr(block, name) for block in blocks]
+        return None if parts[0] is None else ad.constant(np.concatenate([t.data for t in parts]))
+
+    return ItemStage(joined("e_h"), joined("p_h"), joined("feat"), joined("tails"),
+                     joined("c_nonlocal"), items.rels.shape[1])
+
+
 class FastScorer:
     """Scores every item for one user at a time with the model's own forward.
 
     The model reads constant views of the parameters, so no op records a
-    tape.  The user-free item stage runs once, when the scorer is built; each
-    user then pays for the user stage over all items and the history head.
-    Build a new scorer after the parameters change.
+    tape.  The user-free item stage runs once, when the scorer is built, in
+    blocks of STAGE_BLOCK items, with the user-free terms of the gate and of
+    the history logits hoisted into it; each user then pays for the user
+    stage over all items and the history head.  Build a new scorer after the
+    parameters change.
     """
 
     def __init__(self, params, cfg: ModelConfig, item_entities,
                  contexts: ItemInputs):
         frozen = {name: ad.constant(t.data) for name, t in params.items()}
         self.model = GraphContextModel(cfg, frozen, item_entities)
-        self.stage = self.model.item_stage(contexts)
+        self.stage = self.model.hoist(_item_stage_in_blocks(self.model, contexts))
 
     def all_item_q(self, user: int) -> tuple[Tensor, Tensor]:
         """Every item's q halves for this user: entity rows and fused context
@@ -80,20 +105,28 @@ class FastScorer:
     def user_scores(self, user: int, history_items) -> np.ndarray:
         """Preference score of this user for every item: shape (I,)."""
         e_h, fused = self.all_item_q(user)
-        return self.model.shared_history_scores(user, e_h, fused, history_items).data[:, 0]
+        return self.model.shared_history_scores(user, e_h, fused, history_items,
+                                                self.stage.entity_logits).data[:, 0]
 
 
-def rank_items(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Candidates ordered by descending score, ties broken by ascending index."""
-    candidates = np.sort(np.asarray(candidates))
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order]
+def rank_items(scores: np.ndarray, candidates: np.ndarray, top: int | None = None) -> np.ndarray:
+    """Candidates ordered by descending score, ties broken by ascending index;
+    with ``top``, only the first ``top`` of that order.
+
+    A cut keeps the candidates scoring at least the top-th largest score,
+    ties at the cut included, and sorts only those."""
+    candidates = np.asarray(candidates)
+    chosen = scores[candidates]
+    if top is not None and top < len(candidates):
+        keep = chosen >= np.partition(chosen, len(chosen) - top)[len(chosen) - top]
+        candidates, chosen = candidates[keep], chosen[keep]
+    return candidates[np.lexsort((candidates, -chosen))][:top]
 
 
 def metrics_for_user(ranked, test_positives, k: int) -> tuple:
-    """(precision, recall, hit) of one ranked list against the test positives."""
-    top = set(int(i) for i in ranked[:k])
-    hits = len(top & set(test_positives))
+    """(precision, recall, hit) of one ranked list against the test positives
+    (a list, set or array of distinct items)."""
+    hits = len(set(np.asarray(ranked[:k]).tolist()).intersection(test_positives))
     precision = hits / k
     recall = hits / len(test_positives)
     hit = 1.0 if hits else 0.0
@@ -136,7 +169,8 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     for user, history, nonempty in zip(users.tolist(), histories, has_history):
         positives = store.positive_list(user, split)
         scores = scorer.user_scores(user, history if nonempty else [])
-        ranked = rank_items(scores, _candidates_for(store, user, split, cfg))
+        ranked = rank_items(scores, _candidates_for(store, user, split, cfg),
+                            max(cfg.k_values))
         for k in cfg.k_values:
             totals[k] += np.array(metrics_for_user(ranked, positives, k))
 

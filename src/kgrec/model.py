@@ -12,7 +12,7 @@ the dot product of the two contextualized representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,7 +126,8 @@ class ItemStage:
 
     ``feat`` and ``tails`` hold S rows per item (neighbor k of item u is row
     u * S + k) and are None when the local context is off; ``c_nonlocal`` is
-    None when the non-local context is off.
+    None when the non-local context is off.  The last three fields are set by
+    ``GraphContextModel.hoist`` and None until then.
     """
 
     e_h: Tensor                 # (U, d) entity rows
@@ -135,6 +136,9 @@ class ItemStage:
     tails: Tensor | None        # (U*S, d) tail half of the aggregate, e_t agg_W_c
     c_nonlocal: Tensor | None   # (U, d) non-local aggregate
     local_size: int             # S
+    gate: Tensor | None = None            # (1, d) s = sigmoid(gate_w), with both contexts on
+    nonlocal_share: Tensor | None = None  # (U, d) (1 - s) ⊙ c_nonlocal, with both contexts on
+    entity_logits: Tensor | None = None   # (U, 1) e_h hist_attn_w1, the target logits' entity half
 
 
 @dataclass
@@ -239,6 +243,19 @@ class GraphContextModel:
             c_nonlocal = ad.tanh(ad.add(p_h, ad.matmul(self._walk_state(items), w_context)))
         return ItemStage(e_h, p_h, feat, tails, c_nonlocal, items.rels.shape[1])
 
+    def hoist(self, stage: ItemStage) -> ItemStage:
+        """``stage`` with the user-free terms of the gate and of the target
+        logits computed once, for a stage that many users read whole: the gate
+        s ⊙ c_local + (1 - s) ⊙ c_nonlocal then adds the stored second product
+        to the first, and a_t adds the stored e_h w1 to fused w2, each the same
+        arithmetic as unhoisted."""
+        gate = share = None
+        if stage.feat is not None and stage.c_nonlocal is not None:
+            gate = ad.sigmoid(self.params["gate_w"])
+            share = ad.mul(ad.sub(1.0, gate), stage.c_nonlocal)
+        return replace(stage, gate=gate, nonlocal_share=share,
+                       entity_logits=self._logit_half(stage.e_h, 1))
+
     def user_stage(self, stage: ItemStage, user_rows,
                    row_items=None) -> tuple[Tensor, Tensor, Tensor | None]:
         """The halves of the q rows, entity rows (R, d) and fused context rows
@@ -261,13 +278,13 @@ class GraphContextModel:
             c_local = ad.neighbor_aggregate(alpha, stage.tails, stage.p_h, row_items)
         if stage.c_nonlocal is None:
             fused = c_local
+        elif c_local is None:
+            fused = rows(stage.c_nonlocal)
+        elif stage.nonlocal_share is not None:
+            fused = ad.add(ad.mul(stage.gate, c_local), rows(stage.nonlocal_share))
         else:
-            c_nonlocal = rows(stage.c_nonlocal)
-            if c_local is None:
-                fused = c_nonlocal
-            else:
-                gate = ad.sigmoid(self.params["gate_w"])
-                fused = ad.elementwise_gate(gate, c_local, c_nonlocal)
+            gate = ad.sigmoid(self.params["gate_w"])
+            fused = ad.elementwise_gate(gate, c_local, rows(stage.c_nonlocal))
         return rows(stage.e_h), fused, alpha
 
     def _rows_for(self, user: int, entities, contexts,
@@ -288,11 +305,17 @@ class GraphContextModel:
     # beta, c_u and the score are the fused ops history_softmax,
     # history_context and pair_scores.
 
-    def _attn_logits(self, e_h: Tensor, fused: Tensor, first: int) -> Tensor:
-        """e_h w_first + fused w_(first+1), (R, 1); first 1 is a_t, 3 is h."""
-        p = self.params
-        return ad.add(ad.matmul(e_h, p[f"hist_attn_w{first}"]),
-                      ad.matmul(fused, p[f"hist_attn_w{first + 1}"]))
+    def _logit_half(self, rows: Tensor, k: int) -> Tensor:
+        """rows w_k, (R, 1)."""
+        return ad.matmul(rows, self.params[f"hist_attn_w{k}"])
+
+    def _attn_logits(self, e_h: Tensor, fused: Tensor, first: int,
+                     entity_half: Tensor | None = None) -> Tensor:
+        """e_h w_first + fused w_(first+1), (R, 1); first 1 is a_t, 3 is h.
+        ``entity_half`` is e_h w_first when already computed."""
+        if entity_half is None:
+            entity_half = self._logit_half(e_h, first)
+        return ad.add(entity_half, self._logit_half(fused, first + 1))
 
     def _user_rows(self, users) -> tuple[Tensor, Tensor]:
         """(e_u, e_u W_u + b_u), one row per user."""
@@ -306,34 +329,39 @@ class GraphContextModel:
         return logits, ad.add(ad.matmul(e_h, self.params["user_agg_W_he"]),
                               ad.matmul(fused, self.params["user_agg_W_hf"]))
 
-    def _attention(self, e_t: Tensor, f_t: Tensor, logits: Tensor) -> Tensor:
+    def _attention(self, e_t: Tensor, f_t: Tensor, logits: Tensor,
+                   entity_logits: Tensor | None = None) -> Tensor:
         """beta (T, n); ``logits`` are (T, n), or (1, n) for one shared history."""
-        return ad.history_softmax(self._attn_logits(e_t, f_t, 1), logits,
+        return ad.history_softmax(self._attn_logits(e_t, f_t, 1, entity_logits), logits,
                                   self.params["hist_attn_b"])
 
-    def _head(self, user, e_t: Tensor, f_t: Tensor, history,
-              mask=None) -> tuple[Tensor, Tensor]:
+    def _head(self, user, e_t: Tensor, f_t: Tensor, history, mask=None,
+              entity_logits: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """(score (T, 1), c_u) of T targets.  ``user`` is from ``_user_rows``
         (one row per target, or one for all), ``history`` from ``_history``
         (None when empty): one history shared by every target, or with
-        ``mask`` (T, 1), which zeroes empty histories, one per target."""
+        ``mask`` (T, 1), which zeroes empty histories, one per target.
+        ``entity_logits`` is e_t w1 when hoisted."""
         e_u, pre = user
         if history is None:
             c_u = ad.relu(pre)
         else:
             logits, values = history
-            c_u = ad.history_context(self._attention(e_t, f_t, logits), values, pre, mask)
+            c_u = ad.history_context(self._attention(e_t, f_t, logits, entity_logits),
+                                     values, pre, mask)
         return ad.pair_scores(e_u, e_t, c_u, f_t), c_u
 
     def shared_history_scores(self, user: int, e_h: Tensor, fused: Tensor,
-                              history) -> Tensor:
+                              history, entity_logits: Tensor | None = None) -> Tensor:
         """Scores (R, 1) of one user for every row of the halves (e_h, fused),
-        all against their rows ``history`` (indices; empty for no history)."""
+        all against their rows ``history`` (indices; empty for no history).
+        ``entity_logits`` is e_h hist_attn_w1 when a hoisted stage holds it."""
         hist = None
         if len(history):
             hist = self._history(ad.gather_rows(e_h, history), ad.gather_rows(fused, history),
                                  len(history))
-        return self._head(self._user_rows([user]), e_h, fused, hist)[0]
+        return self._head(self._user_rows([user]), e_h, fused, hist,
+                          entity_logits=entity_logits)[0]
 
     # -- single-instance operations ----------------------------------------
 

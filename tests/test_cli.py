@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrec import training
+from kgrec import config, training
 from kgrec.autodiff import save_checkpoint
 from kgrec.cli import main
-from kgrec.config import load_config, save_config
+from kgrec.config import RunConfig, _format_value, _parse_value, load_config, save_config
 from kgrec.evaluation import EvalConfig
 from kgrec.graph import load_dataset
 from kgrec.model import ModelConfig, init_params
@@ -174,6 +174,25 @@ def test_config_echo_reloads_identically(pipeline):
     save_config(cfg, run / "config2.ini")
     cfg2 = load_config(run / "config2.ini")
     assert cfg == cfg2
+
+
+def test_every_config_field_type_is_parsed(monkeypatch):
+    """Each RunConfig value, written as the echoed config writes it, parses
+    back to itself; a field of a type with no parser is refused by name."""
+    samples = {"int": 3, "int | None": 3, "float": 0.5, "float | None": 0.5,
+               "bool": True, "tuple": (1, 5)}
+    for field in dataclasses.fields(RunConfig):
+        assert field.type in samples, (field.name, field.type)
+        for value in (field.default, samples[field.type]):
+            assert _parse_value(field.name, _format_value(value)) == value, field.name
+
+    @dataclasses.dataclass
+    class WithText:
+        label: str = "x"
+
+    monkeypatch.setattr(config, "RunConfig", WithText)
+    with pytest.raises(TypeError, match="config key 'label' has type"):
+        _parse_value("label", "x")
 
 
 def test_default_config_is_the_section_defaults():

@@ -1,9 +1,12 @@
 """Ranking protocol and metric tests, including the brute-force metric oracle
 and the equivalence of the all-item scorer with the single-score path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kgrec import evaluation
 from kgrec.autodiff import NumericError
 from kgrec.evaluation import (EvalConfig, EvalReport, FastScorer, ItemContextSet,
                               evaluate, metrics_for_user, rank_items)
@@ -33,6 +36,22 @@ def test_rank_breaks_ties_by_item_index():
     assert ranked.tolist() == [3, 0, 1, 2]
 
 
+def test_rank_cut_at_top_is_the_prefix_of_the_full_order():
+    """Scores drawn from a few values tie often, also across the cut; every
+    cut equals the first ``top`` of the brute-force order."""
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n_items = int(rng.integers(1, 30))
+        scores = rng.choice([-1.0, 0.0, 0.25, 2.0], size=n_items)
+        candidates = np.flatnonzero(rng.random(n_items) < 0.8)
+        if rng.random() < 0.3:
+            candidates = rng.permutation(candidates)
+        full = sorted(candidates.tolist(), key=lambda i: (-scores[i], i))
+        assert rank_items(scores, candidates).tolist() == full
+        for top in range(1, len(candidates) + 2):
+            assert rank_items(scores, candidates, top).tolist() == full[:top]
+
+
 def test_metrics_perfect_topk():
     assert metrics_for_user([1, 2, 3], {1, 2, 3}, 3) == (1.0, 1.0, 1.0)
 
@@ -49,11 +68,11 @@ def test_metrics_match_brute_force_on_random_fixtures():
         test_set = set(int(i) for i in
                        rng.choice(n_items, size=int(rng.integers(1, 5)), replace=False))
         k = int(rng.integers(1, n_items + 1))
-        p, r, h = metrics_for_user(ranked, test_set, k)
         hits = sum(1 for item in ranked[:k] if item in test_set)
-        assert p == hits / k
-        assert r == hits / len(test_set)
-        assert h == (1.0 if hits > 0 else 0.0)
+        want = (hits / k, hits / len(test_set), 1.0 if hits > 0 else 0.0)
+        # the positives as a set, a list and an array
+        for positives in (test_set, sorted(test_set), np.array(sorted(test_set))):
+            assert metrics_for_user(ranked, positives, k) == want
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +125,37 @@ def test_fast_scorer_matches_tape_scorer(flags):
     for i in range(store.item_count):
         tape = model.score(user, i, ScoreContext(item_ctx(i), hist)).item()
         assert tape == pytest.approx(scores[i], abs=1e-10)
+
+
+@pytest.mark.parametrize("flags", [
+    {},
+    {"disable_local": True},
+    {"disable_nonlocal": True},
+    {"disable_user_attention": True},
+])
+def test_blocked_hoisted_stage_is_bit_equal_to_the_whole_stage(monkeypatch, flags):
+    """Blocks of 3 of the 8 items concatenate to the whole catalogue's item
+    stage, and hoisting the gate and target-logit terms changes no bit of a
+    user's scores."""
+    kg, model, params, cfg, items, store, cache = _world(3, **flags)
+    contexts = ItemContextSet.build(kg, items, cache, cfg.local_size,
+                                    substream(1, "eval-items"))
+    monkeypatch.setattr(evaluation, "STAGE_BLOCK", 3)
+    scorer = FastScorer(params, cfg, items, contexts)
+    whole = model.hoist(model.item_stage(contexts))
+    for field in dataclasses.fields(whole):
+        got, want = getattr(scorer.stage, field.name), getattr(whole, field.name)
+        if field.name == "local_size":
+            assert got == want
+        elif want is None:
+            assert got is None, field.name
+        else:
+            np.testing.assert_array_equal(got.data, want.data, err_msg=field.name)
+    stage = model.item_stage(contexts)
+    for user, history in ((0, [1, 4, 4]), (2, [])):
+        e_h, fused, _ = model.user_stage(stage, [user])
+        unhoisted = model.shared_history_scores(user, e_h, fused, history).data[:, 0]
+        np.testing.assert_array_equal(scorer.user_scores(user, history), unhoisted)
 
 
 def test_fast_scorer_handles_empty_history():

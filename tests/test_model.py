@@ -222,8 +222,9 @@ def test_walk_state_is_one_gather_and_one_gru_node(steps):
 
 def test_tape_nodes_per_training_batch_and_per_evaluated_user():
     """At the benchmark's model shape (d=32, S=4, N=16, walk contexts of 4)
-    a training batch records 103 nodes and an evaluated user 26; the history
-    head is one softmax, one context and one score node per target block."""
+    a training batch records 103 nodes and an evaluated user 25, over the
+    stage with its gate and target-logit terms hoisted; the history head is
+    one softmax, one context and one score node per target block."""
     store, kg, item_entities = synth.planted_dataset(seed=4)
     cfg = ModelConfig(dim=32, local_size=4, history_size=16)
     cache = build_walk_cache(kg, item_entities, WalkConfig(0.2, 2, 4, 4), seed=4)
@@ -242,12 +243,13 @@ def test_tape_nodes_per_training_batch_and_per_evaluated_user():
 
     inputs = ItemContextSet.build(kg, item_entities, cache, cfg.local_size,
                                   substream(4, "eval-items"))
-    stage = model.item_stage(inputs)
+    stage = model.hoist(model.item_stage(inputs))
     e_h, fused, _ = model.user_stage(stage, [3])
-    scores = model.shared_history_scores(3, e_h, fused, store.positive_list(3, "train"))
+    scores = model.shared_history_scores(3, e_h, fused, store.positive_list(3, "train"),
+                                         stage.entity_logits)
     stage_rows = [t for t in vars(stage).values() if isinstance(t, ad.Tensor)]
     ops = Counter(node.op for node in synth.tape_nodes(scores, exclude=stage_rows))
-    assert sum(ops.values()) == 26
+    assert sum(ops.values()) == 25
     assert [ops[op] for op in ("history_softmax", "history_context", "pair_scores")] == [1, 1, 1]
 
 
