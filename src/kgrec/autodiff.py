@@ -593,30 +593,6 @@ def pair_scores(e_u: Tensor, e_t: Tensor, c_u: Tensor, f_t: Tensor) -> Tensor:
     return _finish(out, (e_u, e_t, c_u, f_t), backprop)
 
 
-def elementwise_gate(s, a, b) -> Tensor:
-    """s ⊙ a + (1 - s) ⊙ b, broadcasting s as needed, as one node."""
-    s, a, b = _wrap(s), _wrap(a), _wrap(b)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = s.data * a.data + (1.0 - s.data) * b.data
-    except ValueError as exc:
-        raise ShapeError(f"elementwise_gate: incompatible shapes {s.shape}, {a.shape} "
-                         f"and {b.shape}") from exc
-    out = Tensor(data, op="elementwise_gate")
-
-    def backprop():
-        g = out.grad
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * s.data, a.shape), owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * (1.0 - s.data), b.shape), owned=True)
-        if s.requires_grad:
-            _accum(s, _unbroadcast(g * a.data, s.shape) - _unbroadcast(g * b.data, s.shape),
-                   owned=True)
-
-    return _finish(out, (s, a, b), backprop)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 

@@ -8,7 +8,7 @@ evaluation from dedicated sub-streams, so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class ItemContextSet:
 
 def _item_stage_in_blocks(model: GraphContextModel, items: ItemInputs) -> ItemStage:
     """``model.item_stage(items)`` run on STAGE_BLOCK items at a time, each
-    field concatenated: the same rows, as constants."""
+    per-item field concatenated and the gate taken from the first block: the
+    same rows, as constants."""
     n = len(items.entities)
     blocks = [model.item_stage(ItemInputs(*(getattr(items, f.name)[start:start + STAGE_BLOCK]
                                             for f in fields(ItemInputs))))
@@ -76,26 +77,26 @@ def _item_stage_in_blocks(model: GraphContextModel, items: ItemInputs) -> ItemSt
         parts = [getattr(block, name) for block in blocks]
         return None if parts[0] is None else ad.constant(np.concatenate([t.data for t in parts]))
 
-    return ItemStage(joined("e_h"), joined("p_h"), joined("feat"), joined("tails"),
-                     joined("c_nonlocal"), items.rels.shape[1])
+    return replace(blocks[0], **{f.name: joined(f.name) for f in fields(ItemStage)
+                                 if f.name not in ("gate", "local_size")})
 
 
 class FastScorer:
     """Scores every item for one user at a time with the model's own forward.
 
     The model reads constant views of the parameters, so no op records a
-    tape.  The user-free item stage runs once, when the scorer is built, in
-    blocks of STAGE_BLOCK items, with the user-free terms of the gate and of
-    the history logits hoisted into it; each user then pays for the user
-    stage over all items and the history head.  Build a new scorer after the
-    parameters change.
+    tape.  The user-free item stage, which holds the user-free terms of the
+    gate and of the target logits, runs once, when the scorer is built, in
+    blocks of STAGE_BLOCK items; each user then pays for the user stage over
+    all items and the history head.  Build a new scorer after the parameters
+    change.
     """
 
     def __init__(self, params, cfg: ModelConfig, item_entities,
                  contexts: ItemInputs):
         frozen = {name: ad.constant(t.data) for name, t in params.items()}
         self.model = GraphContextModel(cfg, frozen, item_entities)
-        self.stage = self.model.hoist(_item_stage_in_blocks(self.model, contexts))
+        self.stage = _item_stage_in_blocks(self.model, contexts)
 
     def all_item_q(self, user: int) -> tuple[Tensor, Tensor]:
         """Every item's q halves for this user: entity rows and fused context
@@ -105,8 +106,8 @@ class FastScorer:
     def user_scores(self, user: int, history_items) -> np.ndarray:
         """Preference score of this user for every item: shape (I,)."""
         e_h, fused = self.all_item_q(user)
-        return self.model.shared_history_scores(user, e_h, fused, history_items,
-                                                self.stage.entity_logits).data[:, 0]
+        return self.model.shared_history_scores(user, e_h, fused, self.stage.entity_logits,
+                                                history_items).data[:, 0]
 
 
 def rank_items(scores: np.ndarray, candidates: np.ndarray, top: int | None = None) -> np.ndarray:

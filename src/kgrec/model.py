@@ -12,7 +12,7 @@ the dot product of the two contextualized representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,19 +126,19 @@ class ItemStage:
 
     ``feat`` and ``tails`` hold S rows per item (neighbor k of item u is row
     u * S + k) and are None when the local context is off; ``c_nonlocal`` is
-    None when the non-local context is off.  The last three fields are set by
-    ``GraphContextModel.hoist`` and None until then.
+    None when the non-local context is off; ``gate`` and ``nonlocal_share``
+    are None unless both contexts are on.
     """
 
-    e_h: Tensor                 # (U, d) entity rows
-    p_h: Tensor                 # (U, d) entity half of the aggregate, e_h agg_W_h + agg_b
-    feat: Tensor | None         # (U*S, d) neighbor attention features
-    tails: Tensor | None        # (U*S, d) tail half of the aggregate, e_t agg_W_c
-    c_nonlocal: Tensor | None   # (U, d) non-local aggregate
-    local_size: int             # S
-    gate: Tensor | None = None            # (1, d) s = sigmoid(gate_w), with both contexts on
-    nonlocal_share: Tensor | None = None  # (U, d) (1 - s) ⊙ c_nonlocal, with both contexts on
-    entity_logits: Tensor | None = None   # (U, 1) e_h hist_attn_w1, the target logits' entity half
+    e_h: Tensor                     # (U, d) entity rows
+    p_h: Tensor                     # (U, d) entity half of the aggregate, e_h agg_W_h + agg_b
+    feat: Tensor | None             # (U*S, d) neighbor attention features
+    tails: Tensor | None            # (U*S, d) tail half of the aggregate, e_t agg_W_c
+    c_nonlocal: Tensor | None       # (U, d) non-local aggregate
+    gate: Tensor | None             # (1, d) s = sigmoid(gate_w)
+    nonlocal_share: Tensor | None   # (U, d) (1 - s) ⊙ c_nonlocal
+    entity_logits: Tensor           # (U, 1) e_h hist_attn_w1, the target logits' entity half
+    local_size: int                 # S
 
 
 @dataclass
@@ -229,32 +229,25 @@ class GraphContextModel:
 
     def item_stage(self, items: ItemInputs, force: str | None = None) -> ItemStage:
         """The user-free half of every item's representation, once per item:
-        entity rows, neighbor rows, and the walk-context GRU with its non-local
-        aggregate.  Both aggregates, tanh(e_h agg_W_h + agg_b + context agg_W_c),
-        run as tanh(P_h + context agg_W_c)."""
+        entity rows, neighbor rows, the walk-context GRU with its non-local
+        aggregate, and the user-free terms of the gate and of the target logits.
+        Both aggregates, tanh(e_h agg_W_h + agg_b + context agg_W_c), run as
+        tanh(P_h + context agg_W_c); the gate s ⊙ c_local + (1 - s) ⊙ c_nonlocal
+        keeps its second product here, and a_t = e_h w1 + fused w2 its first."""
         mode = self._resolve_force(force)
         e_h = ad.gather_rows(self.params["entity_emb"], items.entities)
         p_h = ad.affine(e_h, self.params["agg_W_h"], self.params["agg_b"])
         w_context = self.params["agg_W_c"]
-        feat = tails = c_nonlocal = None
+        feat = tails = c_nonlocal = gate = share = None
         if mode != "nonlocal":
             feat, tails = self._neighbor_rows(e_h, items, w_context)
         if mode != "local":
             c_nonlocal = ad.tanh(ad.add(p_h, ad.matmul(self._walk_state(items), w_context)))
-        return ItemStage(e_h, p_h, feat, tails, c_nonlocal, items.rels.shape[1])
-
-    def hoist(self, stage: ItemStage) -> ItemStage:
-        """``stage`` with the user-free terms of the gate and of the target
-        logits computed once, for a stage that many users read whole: the gate
-        s ⊙ c_local + (1 - s) ⊙ c_nonlocal then adds the stored second product
-        to the first, and a_t adds the stored e_h w1 to fused w2, each the same
-        arithmetic as unhoisted."""
-        gate = share = None
-        if stage.feat is not None and stage.c_nonlocal is not None:
+        if mode is None:
             gate = ad.sigmoid(self.params["gate_w"])
-            share = ad.mul(ad.sub(1.0, gate), stage.c_nonlocal)
-        return replace(stage, gate=gate, nonlocal_share=share,
-                       entity_logits=self._logit_half(stage.e_h, 1))
+            share = ad.mul(ad.sub(1.0, gate), c_nonlocal)
+        return ItemStage(e_h, p_h, feat, tails, c_nonlocal, gate, share,
+                         self._logit_half(e_h, 1), items.rels.shape[1])
 
     def user_stage(self, stage: ItemStage, user_rows,
                    row_items=None) -> tuple[Tensor, Tensor, Tensor | None]:
@@ -270,30 +263,32 @@ class GraphContextModel:
 
         alpha = c_local = None
         if stage.feat is not None:
-            users, user_index = np.unique(user_rows, return_inverse=True)
-            m = self._user_preferences(users)
-            alpha = ad.neighbor_softmax(stage.feat, m, row_items,
-                                        None if row_items is None else user_index,
-                                        stage.local_size)
+            if row_items is None:
+                users, user_index = user_rows, None
+            else:
+                users, user_index = np.unique(user_rows, return_inverse=True)
+            alpha = ad.neighbor_softmax(stage.feat, self._user_preferences(users), row_items,
+                                        user_index, stage.local_size)
             c_local = ad.neighbor_aggregate(alpha, stage.tails, stage.p_h, row_items)
         if stage.c_nonlocal is None:
             fused = c_local
         elif c_local is None:
             fused = rows(stage.c_nonlocal)
-        elif stage.nonlocal_share is not None:
-            fused = ad.add(ad.mul(stage.gate, c_local), rows(stage.nonlocal_share))
         else:
-            gate = ad.sigmoid(self.params["gate_w"])
-            fused = ad.elementwise_gate(gate, c_local, rows(stage.c_nonlocal))
+            fused = ad.add(ad.mul(stage.gate, c_local), rows(stage.nonlocal_share))
         return rows(stage.e_h), fused, alpha
+
+    def _stage_for(self, entities, contexts, force: str | None = None) -> ItemStage:
+        """The item stage of items with these ItemContexts, a row each."""
+        walks = [c.walk_context for c in contexts]
+        items = ItemInputs.build(entities, [c.neighbors for c in contexts],
+                                 *reverse_pad(walks, max(map(len, walks))))
+        return self.item_stage(items, force=force)
 
     def _rows_for(self, user: int, entities, contexts,
                   force: str | None = None) -> tuple[Tensor, Tensor, Tensor | None]:
         """Both stages for one user over items with these ItemContexts, a row each."""
-        walks = [c.walk_context for c in contexts]
-        items = ItemInputs.build(entities, [c.neighbors for c in contexts],
-                                 *reverse_pad(walks, max(map(len, walks))))
-        return self.user_stage(self.item_stage(items, force=force), [user])
+        return self.user_stage(self._stage_for(entities, contexts, force), [user])
 
     # -- the history head ----------------------------------------------------
     # Each affine over a concatenation runs as one product per input (w1..w4:
@@ -303,19 +298,12 @@ class GraphContextModel:
     #   V_j = e_h,j W_he + fused_j W_hf,  beta = softmax(tanh(a_t + h + b)),
     #   a_t = e_h w1 + fused w2,  h_j = e_h,j w3 + fused_j w4.
     # beta, c_u and the score are the fused ops history_softmax,
-    # history_context and pair_scores.
+    # history_context and pair_scores.  A target's e_h w1 is the item stage's
+    # ``entity_logits``.
 
     def _logit_half(self, rows: Tensor, k: int) -> Tensor:
         """rows w_k, (R, 1)."""
         return ad.matmul(rows, self.params[f"hist_attn_w{k}"])
-
-    def _attn_logits(self, e_h: Tensor, fused: Tensor, first: int,
-                     entity_half: Tensor | None = None) -> Tensor:
-        """e_h w_first + fused w_(first+1), (R, 1); first 1 is a_t, 3 is h.
-        ``entity_half`` is e_h w_first when already computed."""
-        if entity_half is None:
-            entity_half = self._logit_half(e_h, first)
-        return ad.add(entity_half, self._logit_half(fused, first + 1))
 
     def _user_rows(self, users) -> tuple[Tensor, Tensor]:
         """(e_u, e_u W_u + b_u), one row per user."""
@@ -325,43 +313,42 @@ class GraphContextModel:
     def _history(self, e_h: Tensor, fused: Tensor, n: int) -> tuple[Tensor, Tensor]:
         """Logits h (H/n, n) of H history rows (the q halves) in groups of n,
         and their value rows V (H, d)."""
-        logits = ad.reshape(self._attn_logits(e_h, fused, 3), e_h.shape[0] // n, n)
+        logits = ad.add(self._logit_half(e_h, 3), self._logit_half(fused, 4))
+        logits = ad.reshape(logits, e_h.shape[0] // n, n)
         return logits, ad.add(ad.matmul(e_h, self.params["user_agg_W_he"]),
                               ad.matmul(fused, self.params["user_agg_W_hf"]))
 
-    def _attention(self, e_t: Tensor, f_t: Tensor, logits: Tensor,
-                   entity_logits: Tensor | None = None) -> Tensor:
-        """beta (T, n); ``logits`` are (T, n), or (1, n) for one shared history."""
-        return ad.history_softmax(self._attn_logits(e_t, f_t, 1, entity_logits), logits,
+    def _attention(self, a_e: Tensor, f_t: Tensor, logits: Tensor) -> Tensor:
+        """beta (T, n) of targets with logit halves a_e = e_t w1 (T, 1) and
+        fused rows f_t; ``logits`` are (T, n), or (1, n) for one shared history."""
+        return ad.history_softmax(ad.add(a_e, self._logit_half(f_t, 2)), logits,
                                   self.params["hist_attn_b"])
 
-    def _head(self, user, e_t: Tensor, f_t: Tensor, history, mask=None,
-              entity_logits: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        """(score (T, 1), c_u) of T targets.  ``user`` is from ``_user_rows``
-        (one row per target, or one for all), ``history`` from ``_history``
-        (None when empty): one history shared by every target, or with
-        ``mask`` (T, 1), which zeroes empty histories, one per target.
-        ``entity_logits`` is e_t w1 when hoisted."""
+    def _head(self, user, e_t: Tensor, f_t: Tensor, a_e: Tensor, history,
+              mask=None) -> tuple[Tensor, Tensor]:
+        """(score (T, 1), c_u) of T targets with q halves (e_t, f_t) and logit
+        halves a_e = e_t w1.  ``user`` is from ``_user_rows`` (one row per
+        target, or one for all), ``history`` from ``_history`` (None when
+        empty): one history shared by every target, or with ``mask`` (T, 1),
+        which zeroes empty histories, one per target."""
         e_u, pre = user
         if history is None:
             c_u = ad.relu(pre)
         else:
             logits, values = history
-            c_u = ad.history_context(self._attention(e_t, f_t, logits, entity_logits),
-                                     values, pre, mask)
+            c_u = ad.history_context(self._attention(a_e, f_t, logits), values, pre, mask)
         return ad.pair_scores(e_u, e_t, c_u, f_t), c_u
 
     def shared_history_scores(self, user: int, e_h: Tensor, fused: Tensor,
-                              history, entity_logits: Tensor | None = None) -> Tensor:
+                              entity_logits: Tensor, history) -> Tensor:
         """Scores (R, 1) of one user for every row of the halves (e_h, fused),
-        all against their rows ``history`` (indices; empty for no history).
-        ``entity_logits`` is e_h hist_attn_w1 when a hoisted stage holds it."""
+        whose logit halves e_h w1 are ``entity_logits``, all against their rows
+        ``history`` (indices; empty for no history)."""
         hist = None
         if len(history):
             hist = self._history(ad.gather_rows(e_h, history), ad.gather_rows(fused, history),
                                  len(history))
-        return self._head(self._user_rows([user]), e_h, fused, hist,
-                          entity_logits=entity_logits)[0]
+        return self._head(self._user_rows([user]), e_h, fused, entity_logits, hist)[0]
 
     # -- single-instance operations ----------------------------------------
 
@@ -407,7 +394,8 @@ class GraphContextModel:
         """Relevance probabilities (1, N) of history items for one target."""
         n = len(history_qs)
         logits, _ = self._history(*self._halves(history_qs), n)
-        return self._attention(*self._halves([q_target]), logits)
+        e_t, f_t = self._halves([q_target])
+        return self._attention(self._logit_half(e_t, 1), f_t, logits)
 
     def interaction_context(self, user: int, q_target: Tensor,
                             history_qs) -> Tensor:
@@ -415,7 +403,8 @@ class GraphContextModel:
         n = len(history_qs)
         hist = self._history(*self._halves(history_qs), n) if n else None
         u = self._user_rows([user])
-        return ad.hstack(u[0], self._head(u, *self._halves([q_target]), hist)[1])
+        e_t, f_t = self._halves([q_target])
+        return ad.hstack(u[0], self._head(u, e_t, f_t, self._logit_half(e_t, 1), hist)[1])
 
     def score(self, user: int, item: int, ctx: ScoreContext,
               force: str | None = None) -> Tensor:
@@ -423,8 +412,10 @@ class GraphContextModel:
         over the target and history items."""
         items = [item] + [j for j, _ in ctx.history]
         contexts = [ctx.target] + [c for _, c in ctx.history]
-        e_h, fused, _ = self._rows_for(user, self.item_entities[items], contexts, force=force)
-        scores = self.shared_history_scores(user, e_h, fused, np.arange(1, len(items)))
+        stage = self._stage_for(self.item_entities[items], contexts, force)
+        e_h, fused, _ = self.user_stage(stage, [user])
+        scores = self.shared_history_scores(user, e_h, fused, stage.entity_logits,
+                                            np.arange(1, len(items)))
         return ad.gather_rows(scores, [0])
 
     # -- batched scoring for training ----------------------------------------
@@ -433,17 +424,20 @@ class GraphContextModel:
         """Scores for every target block; returns ``n_targets`` (B, 1) tensors.
 
         The user stage runs once over the history rows and once per target
-        block, and the head reads its outputs as they are."""
+        block, and the head reads its outputs, and each target's rows of the
+        stage's logit halves, as they are."""
         b, n, k = batch.size, batch.history_size, batch.n_targets
         stage = self.item_stage(batch.items, force=force)
 
-        def halves(start: int, stop: int) -> tuple[Tensor, Tensor]:
-            return self.user_stage(stage, batch.user_rows[start:stop],
-                                   batch.row_items[start:stop])[:2]
+        def halves(rows: slice) -> tuple[Tensor, Tensor]:
+            return self.user_stage(stage, batch.user_rows[rows], batch.row_items[rows])[:2]
+
+        def target(block: int) -> tuple[Tensor, Tensor, Tensor]:
+            rows = slice(block * b, (block + 1) * b)
+            return *halves(rows), ad.gather_rows(stage.entity_logits, batch.row_items[rows])
 
         # tuple t's history is rows t*n .. t*n+n-1 of the trailing B*N rows
-        history = self._history(*halves(k * b, k * b + b * n), n)
+        history = self._history(*halves(slice(k * b, k * b + b * n)), n)
         user = self._user_rows(batch.tuple_users)
-        return [self._head(user, *halves(block * b, (block + 1) * b), history,
-                           batch.history_mask)[0]
+        return [self._head(user, *target(block), history, batch.history_mask)[0]
                 for block in range(k)]

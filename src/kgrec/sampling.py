@@ -188,9 +188,6 @@ class WalkCache:
     def item_count(self) -> int:
         return len(self.contexts)
 
-    def context(self, item: int) -> np.ndarray:
-        return self.contexts[item]
-
     @cached_property
     def padded_contexts(self) -> tuple[np.ndarray, np.ndarray]:
         """``reverse_pad`` of every item's context at ``context_size``, as (I, C)

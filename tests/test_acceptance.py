@@ -64,8 +64,6 @@ def test_c1_gradient_suite():
         "sigmoid": (lambda r: ad.sigmoid(r["a"]), {"a": (3, 4)}),
         "log_sigmoid": (lambda r: ad.log_sigmoid(r["a"]), {"a": (3, 4)}),
         "softmax_rows": (lambda r: synth.softmax_rows(r["a"]), {"a": (3, 5)}),
-        "gate": (lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-                 {"s": (1, 4), "a": (3, 4), "b": (3, 4)}),
         "affine": (lambda r: ad.affine(r["x"], r["w"], r["b"]),
                    {"x": (2, 3), "w": (3, 4), "b": (1, 4)}),
         "square": (lambda r: ad.square(r["a"]), {"a": (2, 4)}),
@@ -198,7 +196,7 @@ def test_c3a_walk_context_equals_brute_force_counts():
             counts = collections.Counter(e for path in walks for e in path if e != r)
             expected = [e for e, _ in sorted(counts.items(),
                                              key=lambda kv: (-kv[1], kv[0]))][:3]
-            assert cache.context(item).tolist() == expected, f"trial {trial} item {item}"
+            assert cache.contexts[item].tolist() == expected, f"trial {trial} item {item}"
     _report("C3a", "100 random graphs, every entity an item, exact equality")
 
 

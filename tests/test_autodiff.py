@@ -88,10 +88,10 @@ def _check(build, shapes, rng, tol=1e-6, nudge=None):
     ("sigmoid", lambda r: ad.sigmoid(r["a"]), {"a": (3, 4)}),
     ("log_sigmoid", lambda r: ad.log_sigmoid(r["a"]), {"a": (3, 4)}),
     ("softmax_rows", lambda r: synth.softmax_rows(r["a"]), {"a": (4, 5)}),
-    ("gate", lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-     {"s": (3, 4), "a": (3, 4), "b": (3, 4)}),
-    ("gate_broadcast", lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-     {"s": (1, 4), "a": (3, 4), "b": (3, 4)}),
+    # the model's gate s ⊙ c_local + (1 - s) ⊙ c_nonlocal: a (1, d) row
+    # times rows, and a number minus a row
+    ("mul_row_broadcast", lambda r: ad.mul(r["s"], r["a"]), {"s": (1, 4), "a": (3, 4)}),
+    ("sub_from_number", lambda r: ad.sub(1.0, r["a"]), {"a": (1, 4)}),
     ("gru_sequence", lambda r: gru_sequence(r["x"], GRU_MASK, _gru_params(r)),
      _gru_shapes(3, 4, GRU_MASK)),
     ("neighbor_softmax",
@@ -171,22 +171,17 @@ def test_softmax_uniform_on_equal_inputs():
 
 
 def test_gate_output_between_inputs():
+    """s ⊙ a + (1 - s) ⊙ b from mul, sub and add, as the model blends its two
+    contexts, stays coordinatewise between a and b up to rounding."""
     rng = np.random.default_rng(13)
     for _ in range(200):
         s = ad.sigmoid(ad.constant(rng.normal(size=(2, 4))))
         a = ad.constant(rng.normal(size=(2, 4)))
         b = ad.constant(rng.normal(size=(2, 4)))
-        out = ad.elementwise_gate(s, a, b).data
+        out = synth.unfused_gate(s, a, b).data
         lo = np.minimum(a.data, b.data)
         hi = np.maximum(a.data, b.data)
         assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
-
-
-def test_gate_saturation_returns_first_input():
-    a = ad.constant([[1.0, -2.0]])
-    b = ad.constant([[5.0, 7.0]])
-    s = ad.sigmoid(ad.constant([[1e3, 1e3]]))  # saturates to exactly 1.0
-    np.testing.assert_array_equal(ad.elementwise_gate(s, a, b).data, a.data)
 
 
 def test_backward_simple_quadratic():
@@ -280,8 +275,6 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.pair_scores(pre, e_t, pre, ad.constant(np.ones((3, 3))))
     with pytest.raises(ShapeError):
-        ad.elementwise_gate(ad.constant(np.ones((1, 3))), a, b)
-    with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2)))
     reg = _registry_with(np.random.default_rng(0), _gru_shapes(2, 2, GRU_MASK))
     # one step-major row short of the mask's 15
@@ -323,16 +316,8 @@ _FUSED_CASES = {
         lambda r: _unfused_neighbor_aggregate(synth.softmax_rows(r["a"]), r["e"], r["b"],
                                               NBR_ITEMS),
         {"a": (len(NBR_ITEMS), NBR_S), "e": (4 * NBR_S, 6), "b": (4, 6)}),
-    # the gate, the GRU and the shared history context keep the unfused
-    # arithmetic, so their forward is compared bit for bit (see _EXACT)
-    "elementwise_gate": (
-        lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-        lambda r: synth.unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-        {"s": (1, 6), "a": (5, 6), "b": (5, 6)}),
-    "elementwise_gate_column": (
-        lambda r: ad.elementwise_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-        lambda r: synth.unfused_gate(ad.sigmoid(r["s"]), r["a"], r["b"]),
-        {"s": (5, 1), "a": (5, 6), "b": (5, 6)}),
+    # the GRU and the shared history context keep the unfused arithmetic,
+    # so their forward is compared bit for bit (see _EXACT)
     "gru_sequence": (
         lambda r: gru_sequence(r["x"], GRU_MASK, _gru_params(r)),
         lambda r: synth.gru_run(r["x"], GRU_MASK, _gru_params(r)),
@@ -366,8 +351,8 @@ _FUSED_CASES = {
 # the cases whose values, and whose gradients, are compared bit for bit; the
 # history softmax drops the shift by the row maximum and sums down columns,
 # and the row dots and the per-tuple sums may run in another order
-_EXACT = {"values": ("elementwise_gate", "gru_sequence", "history_context_shared"),
-          "grads": ("elementwise_gate", "history_context_shared", "pair_scores")}
+_EXACT = {"values": ("gru_sequence", "history_context_shared"),
+          "grads": ("history_context_shared", "pair_scores")}
 
 
 @pytest.mark.parametrize("name", sorted(_FUSED_CASES))
@@ -511,8 +496,6 @@ def test_fused_ops_name_themselves_on_overflow():
     with pytest.raises(NumericError, match="'neighbor_aggregate'"):
         ad.neighbor_aggregate(ad.constant([[1.0, 0.0]]), ad.constant(np.full((4, 2), 1e308)),
                               ad.constant(np.full((2, 2), 1e308)), [1])
-    with pytest.raises(NumericError, match="'elementwise_gate'"):
-        ad.elementwise_gate(ad.constant([[1e200]]), huge, huge)
     # history logits that overflow only once a_t and h are summed, per target
     # and shared; their tanh alone would hide it
     a_t = ad.constant(np.full((2, 1), 1e308))

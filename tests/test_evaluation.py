@@ -135,14 +135,15 @@ def test_fast_scorer_matches_tape_scorer(flags):
 ])
 def test_blocked_hoisted_stage_is_bit_equal_to_the_whole_stage(monkeypatch, flags):
     """Blocks of 3 of the 8 items concatenate to the whole catalogue's item
-    stage, and hoisting the gate and target-logit terms changes no bit of a
-    user's scores."""
+    stage, every field (the gate, its non-local share and the target logit
+    halves included), and score every item for a user bit for bit as that
+    whole stage does."""
     kg, model, params, cfg, items, store, cache = _world(3, **flags)
     contexts = ItemContextSet.build(kg, items, cache, cfg.local_size,
                                     substream(1, "eval-items"))
     monkeypatch.setattr(evaluation, "STAGE_BLOCK", 3)
     scorer = FastScorer(params, cfg, items, contexts)
-    whole = model.hoist(model.item_stage(contexts))
+    whole = model.item_stage(contexts)
     for field in dataclasses.fields(whole):
         got, want = getattr(scorer.stage, field.name), getattr(whole, field.name)
         if field.name == "local_size":
@@ -151,11 +152,10 @@ def test_blocked_hoisted_stage_is_bit_equal_to_the_whole_stage(monkeypatch, flag
             assert got is None, field.name
         else:
             np.testing.assert_array_equal(got.data, want.data, err_msg=field.name)
-    stage = model.item_stage(contexts)
     for user, history in ((0, [1, 4, 4]), (2, [])):
-        e_h, fused, _ = model.user_stage(stage, [user])
-        unhoisted = model.shared_history_scores(user, e_h, fused, history).data[:, 0]
-        np.testing.assert_array_equal(scorer.user_scores(user, history), unhoisted)
+        e_h, fused, _ = model.user_stage(whole, [user])
+        want = model.shared_history_scores(user, e_h, fused, whole.entity_logits, history)
+        np.testing.assert_array_equal(scorer.user_scores(user, history), want.data[:, 0])
 
 
 def test_fast_scorer_handles_empty_history():

@@ -220,11 +220,33 @@ def test_walk_state_is_one_gather_and_one_gru_node(steps):
     assert sorted(n.op for n in nodes) == ["gather_rows", "gru_sequence"]
 
 
+@pytest.mark.parametrize("force", [None, "local", "nonlocal"])
+def test_item_stage_holds_the_user_free_gate_and_logit_terms(force):
+    """With both contexts on the stage holds s = sigmoid(gate_w) and the
+    non-local share (1 - s) ⊙ c_nonlocal, and in every mode the target logits'
+    entity half e_h hist_attn_w1, one row per item."""
+    (kg, model, params, cfg, _), rng = _setup(18, scale=2.0)
+    params["gate_w"].data[...] = rng.normal(size=(1, cfg.dim))
+    neighbors = [[(0, 1), (1, 2), (0, 3)]] * 3
+    stage = model.item_stage(ItemInputs.build([0, 4, 9], neighbors,
+                                              *reverse_pad([(3, 7), (5,), ()], 2)), force=force)
+    np.testing.assert_allclose(stage.entity_logits.data,
+                               stage.e_h.data @ params["hist_attn_w1"].data, rtol=0, atol=1e-15)
+    if force is None:
+        s = 1.0 / (1.0 + np.exp(-params["gate_w"].data))
+        np.testing.assert_allclose(stage.gate.data, s, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stage.nonlocal_share.data, (1.0 - s) * stage.c_nonlocal.data,
+                                   rtol=0, atol=1e-15)
+    else:
+        assert stage.gate is None and stage.nonlocal_share is None
+
+
 def test_tape_nodes_per_training_batch_and_per_evaluated_user():
     """At the benchmark's model shape (d=32, S=4, N=16, walk contexts of 4)
-    a training batch records 103 nodes and an evaluated user 25, over the
-    stage with its gate and target-logit terms hoisted; the history head is
-    one softmax, one context and one score node per target block."""
+    a training batch records 107 nodes and an evaluated user 25, over an
+    item stage that holds the user-free terms of the gate and of the target
+    logits; the history head is one softmax, one context and one score node
+    per target block."""
     store, kg, item_entities = synth.planted_dataset(seed=4)
     cfg = ModelConfig(dim=32, local_size=4, history_size=16)
     cache = build_walk_cache(kg, item_entities, WalkConfig(0.2, 2, 4, 4), seed=4)
@@ -238,15 +260,15 @@ def test_tape_nodes_per_training_batch_and_per_evaluated_user():
     loss, _ = total_objective(model, y_pos, y_neg, sample_kg_negatives(kg, substream(4, "kg")),
                               TrainConfig())
     ops = Counter(node.op for node in synth.tape_nodes(loss))
-    assert sum(ops.values()) == 103
+    assert sum(ops.values()) == 107
     assert [ops[op] for op in ("history_softmax", "history_context", "pair_scores")] == [2, 2, 2]
 
     inputs = ItemContextSet.build(kg, item_entities, cache, cfg.local_size,
                                   substream(4, "eval-items"))
-    stage = model.hoist(model.item_stage(inputs))
+    stage = model.item_stage(inputs)
     e_h, fused, _ = model.user_stage(stage, [3])
-    scores = model.shared_history_scores(3, e_h, fused, store.positive_list(3, "train"),
-                                         stage.entity_logits)
+    scores = model.shared_history_scores(3, e_h, fused, stage.entity_logits,
+                                         store.positive_list(3, "train"))
     stage_rows = [t for t in vars(stage).values() if isinstance(t, ad.Tensor)]
     ops = Counter(node.op for node in synth.tape_nodes(scores, exclude=stage_rows))
     assert sum(ops.values()) == 25
@@ -267,6 +289,14 @@ def test_zero_gate_blends_both_contexts_evenly():
     c_g = model.nonlocal_embedding(5, ctx).data
     c = model.kg_context(0, 5, nbrs, ctx).data
     np.testing.assert_allclose(c, 0.5 * c_l + 0.5 * c_g, atol=1e-15)
+
+
+def test_gate_saturation_returns_the_local_context():
+    (kg, model, params, cfg, _), _ = _setup(15)
+    params["gate_w"].data[...] = 1e3  # s saturates to exactly 1.0
+    nbrs = [(0, 1), (1, 2), (0, 3)]
+    c_l = model.local_embedding(0, 5, nbrs).data
+    np.testing.assert_array_equal(model.kg_context(0, 5, nbrs, (4, 6)).data, c_l)
 
 
 def test_gate_output_is_coordinatewise_between_contexts():
@@ -538,7 +568,7 @@ def _concat_q(model, items, user_rows, row_items, force=None):
         h = synth.gru_run(ad.gather_rows(p["entity_emb"], items.ctx_rev.T.ravel()),
                           items.ctx_mask, model.gru)
         c_nonlocal = ad.gather_rows(aggregate(e_h, h), row_items)
-        fused = c_nonlocal if fused is None else ad.elementwise_gate(
+        fused = c_nonlocal if fused is None else synth.unfused_gate(
             ad.sigmoid(p["gate_w"]), fused, c_nonlocal)
     return ad.hstack(e_rows, fused)
 

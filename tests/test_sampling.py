@@ -348,7 +348,7 @@ def test_wellconnected_items_fill_the_context():
     kg = KnowledgeGraph(5, 1, triples)
     cfg = WalkConfig(0.2, 15, 8, 4)
     cache = build_walk_cache(kg, np.arange(5), cfg, seed=3)
-    assert all(len(cache.context(i)) == 4 for i in range(5))
+    assert all(len(cache.contexts[i]) == 4 for i in range(5))
 
 
 def test_cache_contexts_never_contain_their_root():
@@ -360,7 +360,7 @@ def test_cache_contexts_never_contain_their_root():
         cache = build_walk_cache(kg, item_entities, WalkConfig(0.2, 5, 4, 3),
                                  seed=int(rng.integers(1 << 20)))
         for item in range(n_items):
-            assert item_entities[item] not in cache.context(item)
+            assert item_entities[item] not in cache.contexts[item]
 
 
 def test_cache_file_round_trip(tmp_path):
@@ -374,8 +374,8 @@ def test_cache_file_round_trip(tmp_path):
     assert (loaded.item_count, loaded.context_size, loaded.seed, loaded.gamma,
             loaded.num_walks, loaded.walk_length) == (4, 2, 17, 0.3, 3, 4)
     for i in range(4):
-        np.testing.assert_array_equal(loaded.context(i), cache.context(i))
-        assert loaded.context(i).dtype == np.int64
+        np.testing.assert_array_equal(loaded.contexts[i], cache.contexts[i])
+        assert loaded.contexts[i].dtype == np.int64
     # the same cache writes the same bytes
     again = tmp_path / "again.bin"
     loaded.save(again)
