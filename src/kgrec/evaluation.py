@@ -8,7 +8,9 @@ evaluation from dedicated sub-streams, so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,8 +23,10 @@ from .sampling import WalkCache, sample_history, sample_local_neighbors, substre
 # Items per item-stage call when a scorer is built.  A block's (block·S, d)
 # temporaries, 512·4·32 floats (0.5 MB) at the benchmark's shape, stay in a
 # core's L2 cache, where the whole catalogue's (3.9 MB each) did not: one
-# pass over 3846 items took 31 ms against 41 ms unblocked, and 34 ms with
-# blocks of 256 or of 1024 (one BLAS thread).
+# pass over 3846 items took 29.5-51.1 ms against 42.6-63.1 ms unblocked (one
+# BLAS thread, medians of 21 in one process, four runs on a noisy 2-vCPU
+# host); an earlier measurement read 34 ms with blocks of 256 or of 1024
+# against 31 ms with 512.
 STAGE_BLOCK = 512
 
 
@@ -66,19 +70,32 @@ class ItemContextSet:
 
 def _item_stage_in_blocks(model: GraphContextModel, items: ItemInputs) -> ItemStage:
     """``model.item_stage(items)`` run on STAGE_BLOCK items at a time, each
-    per-item field concatenated and the gate taken from the first block: the
-    same rows, as constants."""
+    block's rows written into one preallocated table per field and the gate
+    taken from the first block: the same rows, as constants.  With both
+    contexts on, ``c_nonlocal`` is left out, since users read only its share."""
     n = len(items.entities)
-    blocks = [model.item_stage(ItemInputs(*(getattr(items, f.name)[start:start + STAGE_BLOCK]
-                                            for f in fields(ItemInputs))))
-              for start in range(0, n, STAGE_BLOCK)]
-
-    def joined(name: str) -> Tensor | None:
-        parts = [getattr(block, name) for block in blocks]
-        return None if parts[0] is None else ad.constant(np.concatenate([t.data for t in parts]))
-
-    return replace(blocks[0], **{f.name: joined(f.name) for f in fields(ItemStage)
-                                 if f.name not in ("gate", "local_size")})
+    values = {f.name: None for f in fields(ItemStage)}
+    tables = {}
+    for start in range(0, n, STAGE_BLOCK):
+        block = model.item_stage(ItemInputs(*(getattr(items, f.name)[start:start + STAGE_BLOCK]
+                                              for f in fields(ItemInputs))))
+        size = len(block.e_h.data)
+        if start == 0:
+            values.update(gate=block.gate, local_size=block.local_size)
+            kept = [f.name for f in fields(ItemStage) if f.name not in ("gate", "local_size")
+                    and getattr(block, f.name) is not None]
+            if block.nonlocal_share is not None:
+                kept.remove("c_nonlocal")
+            for name in kept:
+                rows = getattr(block, name).data
+                tables[name] = np.empty((n * len(rows) // size, rows.shape[1]))
+        for name, table in tables.items():
+            rows = getattr(block, name).data
+            at = start * (len(rows) // size)
+            table[at:at + len(rows)] = rows
+        del block, rows                 # freed before the next block is computed
+    values.update({name: ad.constant(table) for name, table in tables.items()})
+    return ItemStage(**values)
 
 
 class FastScorer:
@@ -87,9 +104,10 @@ class FastScorer:
     The model reads constant views of the parameters, so no op records a
     tape.  The user-free item stage, which holds the user-free terms of the
     gate and of the target logits, runs once, when the scorer is built, in
-    blocks of STAGE_BLOCK items; each user then pays for the user stage over
-    all items and the history head.  Build a new scorer after the parameters
-    change.
+    blocks of STAGE_BLOCK items written into the stage's tables; each user
+    then pays for the user stage over all items and the history head, and
+    users may be scored from several threads at once.  Build a new scorer
+    after the parameters change.
     """
 
     def __init__(self, params, cfg: ModelConfig, item_entities,
@@ -148,13 +166,23 @@ def _candidates_for(store: InteractionStore, user: int, split: str,
     return np.flatnonzero(keep)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
              kg: KnowledgeGraph, item_entities, cache: WalkCache,
              cfg: EvalConfig | None = None, split: str = "test",
              seed: int = 0) -> EvalReport:
     """Unweighted per-user average of P@K / R@K / HR@K on one split.
 
-    Users without positives in the target split are skipped.
+    Users without positives in the target split are skipped.  Users are
+    scored on a thread pool, one worker per usable CPU, that lives only
+    inside the call; the report is the same for any worker count.
     """
     cfg = cfg or EvalConfig()
     cache.check_fits(len(item_entities), kg.entity_count)
@@ -166,14 +194,26 @@ def evaluate(params, model_cfg: ModelConfig, store: InteractionStore,
     users = store.users_in(split)
     histories, has_history = sample_history(store, users, None, model_cfg.history_size,
                                             rng_hist)
-    totals = {k: np.zeros(3) for k in cfg.k_values}
-    for user, history, nonempty in zip(users.tolist(), histories, has_history):
-        positives = store.positive_list(user, split)
+
+    def user_rows(user: int, history, nonempty: bool) -> list:
         scores = scorer.user_scores(user, history if nonempty else [])
         ranked = rank_items(scores, _candidates_for(store, user, split, cfg),
                             max(cfg.k_values))
-        for k in cfg.k_values:
-            totals[k] += np.array(metrics_for_user(ranked, positives, k))
+        positives = store.positive_list(user, split)
+        return [metrics_for_user(ranked, positives, k) for k in cfg.k_values]
+
+    # users are scored concurrently and summed in user order, so the report
+    # does not depend on the worker count; an error cancels the pending users
+    totals = {k: np.zeros(3) for k in cfg.k_values}
+    pool = ThreadPoolExecutor(max(1, min(_worker_count(), len(users))))
+    try:
+        jobs = [pool.submit(user_rows, *job)
+                for job in zip(users.tolist(), histories, has_history)]
+        for job in jobs:
+            for k, row in zip(cfg.k_values, job.result()):
+                totals[k] += np.array(row)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     metrics = {}
     for k in cfg.k_values:

@@ -126,8 +126,9 @@ class ItemStage:
 
     ``feat`` and ``tails`` hold S rows per item (neighbor k of item u is row
     u * S + k) and are None when the local context is off; ``c_nonlocal`` is
-    None when the non-local context is off; ``gate`` and ``nonlocal_share``
-    are None unless both contexts are on.
+    None when the non-local context is off, and may be None when both are on,
+    since users read only its share; ``gate`` and ``nonlocal_share`` are None
+    unless both contexts are on.
     """
 
     e_h: Tensor                     # (U, d) entity rows
@@ -270,10 +271,10 @@ class GraphContextModel:
             alpha = ad.neighbor_softmax(stage.feat, self._user_preferences(users), row_items,
                                         user_index, stage.local_size)
             c_local = ad.neighbor_aggregate(alpha, stage.tails, stage.p_h, row_items)
-        if stage.c_nonlocal is None:
-            fused = c_local
-        elif c_local is None:
+        if c_local is None:
             fused = rows(stage.c_nonlocal)
+        elif stage.nonlocal_share is None:
+            fused = c_local
         else:
             fused = ad.add(ad.mul(stage.gate, c_local), rows(stage.nonlocal_share))
         return rows(stage.e_h), fused, alpha

@@ -2,16 +2,21 @@
 and the equivalence of the all-item scorer with the single-score path."""
 
 import dataclasses
+import hashlib
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kgrec import evaluation
-from kgrec.autodiff import NumericError
+from kgrec.autodiff import NumericError, Tensor
 from kgrec.evaluation import (EvalConfig, EvalReport, FastScorer, ItemContextSet,
                               evaluate, metrics_for_user, rank_items)
 from kgrec.graph import InputError, InteractionStore
-from kgrec.model import ItemContext, ScoreContext
+from kgrec.model import ItemContext, ItemInputs, ModelConfig, ScoreContext, init_params
 from kgrec.sampling import WalkConfig, build_walk_cache, sample_history, substream
 
 import synth
@@ -134,10 +139,11 @@ def test_fast_scorer_matches_tape_scorer(flags):
     {"disable_user_attention": True},
 ])
 def test_blocked_hoisted_stage_is_bit_equal_to_the_whole_stage(monkeypatch, flags):
-    """Blocks of 3 of the 8 items concatenate to the whole catalogue's item
-    stage, every field (the gate, its non-local share and the target logit
-    halves included), and score every item for a user bit for bit as that
-    whole stage does."""
+    """Blocks of 3 of the 8 items, written in place, give the whole
+    catalogue's item stage, every field (the gate, its non-local share and the
+    target logit halves included) but ``c_nonlocal``, which the scorer drops
+    once the share holds it, and score every item for a user bit for bit as
+    that whole stage does."""
     kg, model, params, cfg, items, store, cache = _world(3, **flags)
     contexts = ItemContextSet.build(kg, items, cache, cfg.local_size,
                                     substream(1, "eval-items"))
@@ -148,7 +154,7 @@ def test_blocked_hoisted_stage_is_bit_equal_to_the_whole_stage(monkeypatch, flag
         got, want = getattr(scorer.stage, field.name), getattr(whole, field.name)
         if field.name == "local_size":
             assert got == want
-        elif want is None:
+        elif want is None or (field.name == "c_nonlocal" and whole.nonlocal_share is not None):
             assert got is None, field.name
         else:
             np.testing.assert_array_equal(got.data, want.data, err_msg=field.name)
@@ -168,6 +174,102 @@ def test_fast_scorer_handles_empty_history():
     assert np.isfinite(scores).all()
 
 
+def test_scorer_build_holds_one_copy_of_the_stage():
+    """Building a scorer peaks below 1.6x the bytes of its own stage tables:
+    each block's rows go into the tables as the block is computed, so the
+    blocks and a joined copy of them never coexist (that build peaked at
+    about 2x)."""
+    rng = np.random.default_rng(5)
+    n_items, n_entities, n_relation_rows, walk = 3846, 4000, 11, 8
+    cfg = ModelConfig(dim=32, local_size=4, history_size=4)
+    params = init_params(cfg, 10, n_entities, n_relation_rows, rng)
+    contexts = ItemInputs(np.arange(n_items),
+                          rng.integers(n_relation_rows, size=(n_items, cfg.local_size)),
+                          rng.integers(n_entities, size=(n_items, cfg.local_size)),
+                          rng.integers(n_entities, size=(n_items, walk)),
+                          np.ones((n_items, walk)))
+    tracemalloc.start()
+    try:
+        scorer = FastScorer(params, cfg, np.arange(n_items), contexts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = [getattr(scorer.stage, f.name) for f in dataclasses.fields(scorer.stage)]
+    stage_bytes = sum(t.data.nbytes for t in tables if isinstance(t, Tensor))
+    assert scorer.stage.c_nonlocal is None
+    assert peak < 1.6 * stage_bytes, (peak, stage_bytes)
+
+
+def _scaled_world(seed, n_users=12, n_items=16):
+    """Non-init (scale-2) weights and a store whose every user has test
+    positives, so that users' scores differ and rank apart."""
+    rng = np.random.default_rng(seed)
+    kg, _, params, cfg, items = synth.random_model_setup(
+        rng, n_users=n_users, n_items=n_items, n_entities=24, scale=2.0)
+    splits = {"train": [], "test": []}
+    for u in range(n_users):
+        chosen = rng.choice(n_items, size=6, replace=False).tolist()
+        splits["train"] += [(u, i) for i in chosen[:4]]
+        splits["test"] += [(u, i) for i in chosen[4:]]
+    store = InteractionStore(n_users, n_items, splits)
+    cache = build_walk_cache(kg, items, WalkConfig(0.2, 4, 3, cfg.local_size), seed=seed)
+    return kg, params, cfg, items, store, cache
+
+
+def test_report_and_scores_do_not_depend_on_the_worker_count(monkeypatch):
+    """1, 2 and 3 workers write the same report and give every user the same
+    scores, and no worker thread outlives the call.  A short switch interval
+    makes the threads interleave often."""
+    kg, params, cfg, items, store, cache = _scaled_world(21)
+    scored = FastScorer.user_scores
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            digests = {}
+
+            def recording(self, user, history):
+                scores = scored(self, user, history)
+                digests[user] = hashlib.sha256(scores.tobytes()).hexdigest()
+                return scores
+
+            monkeypatch.setattr(FastScorer, "user_scores", recording)
+            monkeypatch.setattr(evaluation, "_worker_count", lambda n=workers: n)
+            threads = threading.active_count()
+            report = evaluate(params, cfg, store, kg, items, cache,
+                              EvalConfig(k_values=(1, 3, 5)), split="test", seed=4)
+            assert threading.active_count() == threads
+            runs[workers] = (report.to_lines(), digests)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[2] == runs[3]
+    assert len(set(runs[1][1].values())) == store.user_count
+
+
+def test_an_error_cancels_the_users_not_yet_scored(monkeypatch):
+    """The first user's error surfaces as raised; the users still queued are
+    cancelled, not scored, and no worker thread outlives the call."""
+    kg, params, cfg, items, store, cache = _scaled_world(22)
+    scored = FastScorer.user_scores
+    calls = []
+
+    def failing(self, user, history):
+        calls.append(user)
+        if user == 0:
+            raise NumericError("op 'probe' produced non-finite values")
+        time.sleep(0.05)
+        return scored(self, user, history)
+
+    monkeypatch.setattr(FastScorer, "user_scores", failing)
+    monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match="probe"):
+        evaluate(params, cfg, store, kg, items, cache, split="test", seed=4)
+    assert threading.active_count() == threads
+    assert len(calls) < store.user_count, calls
+
+
 def test_evaluation_aborts_on_non_finite_scores():
     """An overflowing user aggregation raises, naming the op, instead of
     ranking NaN scores."""
@@ -179,6 +281,12 @@ def test_evaluation_aborts_on_non_finite_scores():
     with pytest.raises(NumericError, match="matmul"):
         evaluate(params, cfg, store, kg, items, cache, EvalConfig(k_values=(3,)),
                  split="test", seed=0)
+
+
+def test_evaluation_aborts_on_non_finite_scores_at_two_workers(monkeypatch):
+    """The same abort raised on a worker thread surfaces unchanged."""
+    monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
+    test_evaluation_aborts_on_non_finite_scores()
 
 
 # ---------------------------------------------------------------------------
